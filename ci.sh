@@ -106,4 +106,13 @@ cargo test -q --release --test hybrid_text
 VDB_FORCE_SCALAR=1 cargo test -q --release --test hybrid_text
 VDB_BUILD_THREADS=4 cargo test -q --release --test hybrid_text
 
+echo "== benchmark: its own tests and a smoke run of every workload =="
+# The repo benchmark (benchmark/, BENCHMARK.json) is a standalone crate
+# with its own workspace: unit tests for its statistics, generator and
+# comparison, then every workload at smoke scale through the real served
+# life cycle. The smoke run fails on any failed correctness check
+# (recall floors, live keys only, zero lost acknowledged writes).
+cargo test -q --release --offline --manifest-path benchmark/Cargo.toml
+cargo run -q --release --offline --manifest-path benchmark/Cargo.toml -- --smoke
+
 echo "ci.sh: all green"

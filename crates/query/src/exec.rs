@@ -1,10 +1,11 @@
 //! Physical operators for (hybrid) vector queries (§2.3).
 
-use crate::expr::Predicate;
+use crate::compiled::CompiledPredicate;
 use crate::plan::{Strategy, VectorQuery};
+use crate::selectivity;
 use vdb_core::context::{self, SearchContext};
 use vdb_core::error::{Error, Result};
-use vdb_core::index::{RowFilter, VectorIndex};
+use vdb_core::index::VectorIndex;
 use vdb_core::metric::Metric;
 use vdb_core::topk::Neighbor;
 use vdb_core::vector::Vectors;
@@ -54,34 +55,6 @@ impl<'a> QueryContext<'a> {
     }
 }
 
-/// A [`RowFilter`] over a predicate with a selectivity hint for
-/// visit-first backtracking control.
-pub struct PredicateFilter<'a> {
-    predicate: &'a Predicate,
-    attrs: &'a AttributeStore,
-    hint: Option<f64>,
-}
-
-impl<'a> PredicateFilter<'a> {
-    /// Wrap a predicate.
-    pub fn new(predicate: &'a Predicate, attrs: &'a AttributeStore, hint: Option<f64>) -> Self {
-        PredicateFilter {
-            predicate,
-            attrs,
-            hint,
-        }
-    }
-}
-
-impl RowFilter for PredicateFilter<'_> {
-    fn accept(&self, id: usize) -> bool {
-        self.predicate.eval(self.attrs, id)
-    }
-    fn selectivity_hint(&self) -> Option<f64> {
-        self.hint
-    }
-}
-
 /// Execute `query` under an explicitly chosen strategy, using a
 /// thread-local scratch context.
 pub fn execute(
@@ -102,15 +75,48 @@ pub fn execute_with(
     query: &VectorQuery,
     strategy: Strategy,
 ) -> Result<Vec<Neighbor>> {
-    if query.is_hybrid() {
-        query.predicate.validate(ctx.attrs)?;
-    }
-    match strategy {
-        Strategy::BruteForce => brute_force(ctx, sctx, query),
-        Strategy::PreFilter => pre_filter(ctx, sctx, query),
-        Strategy::PostFilter => post_filter(ctx, sctx, query),
-        Strategy::BlockFirst => block_first(ctx, sctx, query),
-        Strategy::VisitFirst => visit_first(ctx, sctx, query),
+    let selectivity = if query.is_hybrid() {
+        selectivity::estimate(&query.predicate, ctx.attrs)
+    } else {
+        1.0
+    };
+    execute_estimated(ctx, sctx, query, strategy, selectivity)
+}
+
+/// [`execute_with`] for a predicate whose selectivity is already
+/// estimated — the planner hands over the number it planned with.
+pub(crate) fn execute_estimated(
+    ctx: &QueryContext<'_>,
+    sctx: &mut SearchContext,
+    query: &VectorQuery,
+    strategy: Strategy,
+    selectivity: f64,
+) -> Result<Vec<Neighbor>> {
+    let compiled = if query.is_hybrid() {
+        Some(CompiledPredicate::compile(&query.predicate, ctx.attrs)?.with_hint(selectivity))
+    } else {
+        None
+    };
+    match (strategy, compiled.as_ref()) {
+        (Strategy::BruteForce, filter) => brute_force(ctx, sctx, query, filter),
+        (Strategy::PreFilter, filter) => pre_filter(ctx, sctx, query, filter),
+        (Strategy::PostFilter, filter) => post_filter(ctx, sctx, query, filter),
+        (Strategy::BlockFirst, Some(cp)) => ctx.index.search_blocked_with(
+            sctx,
+            &query.vector,
+            query.k,
+            &query.params,
+            &cp.bitmask(),
+        ),
+        (Strategy::VisitFirst, Some(cp)) => {
+            ctx.index
+                .search_filtered_with(sctx, &query.vector, query.k, &query.params, cp)
+        }
+        // Without a predicate both are a plain index search.
+        (Strategy::BlockFirst | Strategy::VisitFirst, None) => {
+            ctx.index
+                .search_with(sctx, &query.vector, query.k, &query.params)
+        }
     }
 }
 
@@ -119,56 +125,45 @@ fn brute_force(
     ctx: &QueryContext<'_>,
     sctx: &mut SearchContext,
     query: &VectorQuery,
+    filter: Option<&CompiledPredicate<'_>>,
 ) -> Result<Vec<Neighbor>> {
     check_dims(ctx, query)?;
     let metric = ctx.metric();
-    let compiled = if query.is_hybrid() {
-        Some(crate::compiled::CompiledPredicate::compile(
-            &query.predicate,
-            ctx.attrs,
-        )?)
-    } else {
-        None
-    };
     sctx.pool.reset(query.k.max(1));
     for (row, v) in ctx.vectors.iter().enumerate() {
-        if let Some(cp) = &compiled {
-            if !cp.eval(row) {
-                continue;
-            }
+        if filter.is_none_or(|cp| cp.eval(row)) {
+            sctx.pool
+                .push(Neighbor::new(row, metric.distance(&query.vector, v)));
         }
-        sctx.pool
-            .push(Neighbor::new(row, metric.distance(&query.vector, v)));
     }
     let mut out = sctx.pool.drain_sorted();
     out.truncate(query.k);
     Ok(out)
 }
 
-/// Pre-filtering: materialize the match set, then score only those rows.
+/// Pre-filtering: enumerate the match set, then score only those rows.
+/// The pool orders by (distance, row), so the result does not depend on
+/// the order the matches arrive in.
 fn pre_filter(
     ctx: &QueryContext<'_>,
     sctx: &mut SearchContext,
     query: &VectorQuery,
+    filter: Option<&CompiledPredicate<'_>>,
 ) -> Result<Vec<Neighbor>> {
+    let Some(cp) = filter else {
+        return brute_force(ctx, sctx, query, None);
+    };
     check_dims(ctx, query)?;
     let metric = ctx.metric();
-    sctx.pool.reset(query.k.max(1));
-    if query.is_hybrid() {
-        let bits = query.predicate.bitmask(ctx.attrs)?;
-        for row in bits.iter() {
-            sctx.pool.push(Neighbor::new(
-                row,
-                metric.distance(&query.vector, ctx.vectors.get(row)),
-            ));
-        }
-    } else {
-        for (row, v) in ctx.vectors.iter().enumerate() {
-            sctx.pool
-                .push(Neighbor::new(row, metric.distance(&query.vector, v)));
-        }
-    }
-    let mut out = sctx.pool.drain_sorted();
+    let pool = &mut sctx.pool;
+    pool.reset(query.k.max(1));
+    cp.for_each_match(|row| {
+        pool.push(Neighbor::new(
+            row,
+            metric.distance(&query.vector, ctx.vectors.get(row)),
+        ));
+    });
+    let mut out = pool.drain_sorted();
     out.truncate(query.k);
     Ok(out)
 }
@@ -179,6 +174,7 @@ fn post_filter(
     ctx: &QueryContext<'_>,
     sctx: &mut SearchContext,
     query: &VectorQuery,
+    filter: Option<&CompiledPredicate<'_>>,
 ) -> Result<Vec<Neighbor>> {
     let n = ctx.vectors.len();
     if n == 0 || query.k == 0 {
@@ -192,7 +188,7 @@ fn post_filter(
         let got = cands.len();
         let mut out: Vec<Neighbor> = cands
             .into_iter()
-            .filter(|c| !query.is_hybrid() || query.predicate.eval(ctx.attrs, c.id))
+            .filter(|c| filter.is_none_or(|cp| cp.eval(c.id)))
             .collect();
         if out.len() >= query.k || fetch >= n || got < fetch {
             out.truncate(query.k);
@@ -200,40 +196,6 @@ fn post_filter(
         }
         fetch = (fetch * 2).min(n);
     }
-}
-
-/// Block-first scan: bitmask pushed into the index.
-fn block_first(
-    ctx: &QueryContext<'_>,
-    sctx: &mut SearchContext,
-    query: &VectorQuery,
-) -> Result<Vec<Neighbor>> {
-    if !query.is_hybrid() {
-        return ctx
-            .index
-            .search_with(sctx, &query.vector, query.k, &query.params);
-    }
-    let bits = query.predicate.bitmask(ctx.attrs)?;
-    ctx.index
-        .search_blocked_with(sctx, &query.vector, query.k, &query.params, &bits)
-}
-
-/// Visit-first scan: predicate evaluated during traversal, no bitmask.
-/// The predicate is compiled once — it runs on every *visited* vector, so
-/// per-row column-name resolution would dominate the traversal.
-fn visit_first(
-    ctx: &QueryContext<'_>,
-    sctx: &mut SearchContext,
-    query: &VectorQuery,
-) -> Result<Vec<Neighbor>> {
-    if !query.is_hybrid() {
-        return ctx
-            .index
-            .search_with(sctx, &query.vector, query.k, &query.params);
-    }
-    let compiled = crate::compiled::CompiledPredicate::compile(&query.predicate, ctx.attrs)?;
-    ctx.index
-        .search_filtered_with(sctx, &query.vector, query.k, &query.params, &compiled)
 }
 
 // ---------------------------------------------------------------------
@@ -422,6 +384,7 @@ fn check_dims(ctx: &QueryContext<'_>, query: &VectorQuery) -> Result<()> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::expr::Predicate;
     use vdb_core::attr::AttrType;
     use vdb_core::dataset;
     use vdb_core::index::SearchParams;

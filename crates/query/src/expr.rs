@@ -1,10 +1,13 @@
 //! Boolean predicates over structured attributes (§2.1 "hybrid queries").
 //!
-//! A [`Predicate`] is evaluated per row against an
-//! [`AttributeStore`](vdb_storage::AttributeStore), or materialized into a
-//! blocking bitmask for block-first scans (§2.3(1)). Comparisons involving
-//! NULL are false, mirroring SQL semantics collapsed at the boolean layer.
+//! A [`Predicate`] is compiled against an
+//! [`AttributeStore`](vdb_storage::AttributeStore) into a
+//! [`CompiledPredicate`] that evaluates rows, enumerates matches, or
+//! materializes a blocking bitmask for block-first scans (§2.3(1)).
+//! Comparisons involving NULL are false, mirroring SQL semantics
+//! collapsed at the boolean layer.
 
+use crate::compiled::CompiledPredicate;
 use std::cmp::Ordering;
 use std::fmt;
 use vdb_core::attr::AttrValue;
@@ -44,7 +47,9 @@ impl fmt::Display for CmpOp {
 }
 
 impl CmpOp {
-    fn test(self, ord: Option<Ordering>) -> bool {
+    /// Whether an ordering of `value` against the constant satisfies the
+    /// operator (`None` — a NULL or mismatched type — never does).
+    pub(crate) fn test(self, ord: Option<Ordering>) -> bool {
         match (self, ord) {
             (CmpOp::Eq, Some(Ordering::Equal)) => true,
             (CmpOp::Ne, Some(o)) => o != Ordering::Equal,
@@ -191,7 +196,9 @@ impl Predicate {
         }
     }
 
-    /// Evaluate on one row.
+    /// Evaluate on one row, resolving column names as it goes. Operators
+    /// use [`CompiledPredicate`]; this is the reference it is tested
+    /// against.
     pub fn eval(&self, store: &AttributeStore, row: usize) -> bool {
         match self {
             Predicate::True => true,
@@ -245,17 +252,9 @@ impl Predicate {
     }
 
     /// Materialize the blocking bitmask over every row (§2.3(1) online
-    /// blocking via attribute filtering).
+    /// blocking via attribute filtering), through the compiled predicate.
     pub fn bitmask(&self, store: &AttributeStore) -> Result<BitSet> {
-        self.validate(store)?;
-        let n = store.rows();
-        let mut bits = BitSet::new(n);
-        for row in 0..n {
-            if self.eval(store, row) {
-                bits.insert(row);
-            }
-        }
-        Ok(bits)
+        Ok(CompiledPredicate::compile(self, store)?.bitmask())
     }
 
     /// Exact selectivity by counting matching rows.
@@ -264,7 +263,7 @@ impl Predicate {
         if n == 0 {
             return Ok(0.0);
         }
-        Ok(self.bitmask(store)?.count() as f64 / n as f64)
+        Ok(CompiledPredicate::compile(self, store)?.count() as f64 / n as f64)
     }
 }
 

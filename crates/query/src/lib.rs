@@ -4,14 +4,15 @@
 //! VDBMS (§2.1 and §2.3 of *"Vector Database Management Techniques and
 //! Systems"*, SIGMOD 2024):
 //!
-//! - [`expr`] — attribute predicates with SQL-like NULL semantics and
-//!   bitmask materialization,
-//! - [`selectivity`] — statistics-based selectivity estimation,
+//! - [`expr`] — attribute predicates with SQL-like NULL semantics,
+//! - [`selectivity`] — selectivity estimation from cached column
+//!   statistics,
 //! - [`plan`] — query and strategy types (pre-filter, post-filter,
 //!   block-first, visit-first, brute force),
 //! - [`exec`] — the physical operators behind each strategy,
-//! - [`compiled`] — predicates with pre-resolved column references for
-//!   hot filter loops,
+//! - [`compiled`] — the one predicate evaluator every operator uses:
+//!   pre-resolved column references, range leaves answered from sorted
+//!   runs,
 //! - [`optimizer`] — fixed / rule-based / cost-based plan selection,
 //! - [`batch`] — batched execution with shared predicate work and thread
 //!   parallelism,
@@ -35,8 +36,7 @@ pub mod text;
 pub use batch::{execute_batch, BatchOptions};
 pub use compiled::CompiledPredicate;
 pub use exec::{
-    execute, execute_with, fuse, Fusion, HybridCandidate, HybridHit, HybridStrategy,
-    PredicateFilter, QueryContext,
+    execute, execute_with, fuse, Fusion, HybridCandidate, HybridHit, HybridStrategy, QueryContext,
 };
 pub use expr::{CmpOp, Predicate};
 pub use incremental::IncrementalSearch;

@@ -248,9 +248,7 @@ impl Planner {
         ctx: &QueryContext<'_>,
         q: &VectorQuery,
     ) -> vdb_core::error::Result<(PhysicalPlan, Vec<vdb_core::topk::Neighbor>)> {
-        let plan = self.plan(ctx, q);
-        let out = crate::exec::execute(ctx, q, plan.strategy)?;
-        Ok((plan, out))
+        vdb_core::context::with_local(|sctx| self.run_with(ctx, sctx, q))
     }
 
     /// Plan and execute against a caller-managed scratch context.
@@ -261,7 +259,10 @@ impl Planner {
         q: &VectorQuery,
     ) -> vdb_core::error::Result<(PhysicalPlan, Vec<vdb_core::topk::Neighbor>)> {
         let plan = self.plan(ctx, q);
-        let out = crate::exec::execute_with(ctx, sctx, q, plan.strategy)?;
+        // The estimate the plan was chosen by doubles as the executor's
+        // selectivity hint: one estimate per query.
+        let out =
+            crate::exec::execute_estimated(ctx, sctx, q, plan.strategy, plan.est_selectivity)?;
         Ok((plan, out))
     }
 }

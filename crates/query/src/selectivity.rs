@@ -7,7 +7,8 @@
 //! inequalities, and independence for conjunction/disjunction. §2.6(3) of
 //! the paper notes hybrid cost estimation is an open problem — the
 //! estimator's error against exact selectivity is itself measured in
-//! experiment T3.
+//! experiment T3. The statistics are each column's cached summary, so an
+//! estimate costs O(predicate), not a pass over the rows.
 
 use crate::expr::{CmpOp, Predicate};
 use crate::text::TextIndex;
@@ -23,22 +24,18 @@ pub fn estimate(pred: &Predicate, store: &AttributeStore) -> f64 {
         Predicate::True => 1.0,
         Predicate::Cmp { column, op, value } => store
             .column(column)
-            .map(|c| estimate_cmp(&c.stats(), *op, value, store.rows()))
+            .map(|c| estimate_cmp(c.stats(), *op, value, store.rows()))
             .unwrap_or(DEFAULT_SEL),
         Predicate::In { column, values } => store
             .column(column)
             .map(|c| {
-                let st = c.stats();
-                let eq = eq_selectivity(&st, store.rows());
+                let eq = eq_selectivity(c.stats(), store.rows());
                 (eq * values.len() as f64).min(1.0)
             })
             .unwrap_or(DEFAULT_SEL),
         Predicate::Between { column, lo, hi } => store
             .column(column)
-            .map(|c| {
-                let st = c.stats();
-                range_fraction(&st, lo, hi).unwrap_or(DEFAULT_SEL)
-            })
+            .map(|c| range_fraction(c.stats(), lo, hi).unwrap_or(DEFAULT_SEL))
             .unwrap_or(DEFAULT_SEL),
         Predicate::IsNull { column } => store
             .column(column)
@@ -101,30 +98,39 @@ fn estimate_cmp(stats: &ColumnStats, op: CmpOp, value: &AttrValue, rows: usize) 
     match op {
         CmpOp::Eq => eq_selectivity(stats, rows),
         CmpOp::Ne => (non_null_frac - eq_selectivity(stats, rows)).max(0.0),
-        CmpOp::Lt | CmpOp::Le => below_fraction(stats, value)
+        CmpOp::Lt | CmpOp::Le => below_fraction(stats, op, value)
             .map(|f| f * non_null_frac)
             .unwrap_or(DEFAULT_SEL),
-        CmpOp::Gt | CmpOp::Ge => below_fraction(stats, value)
+        // `x > v` is the complement of `x <= v`, `x >= v` of `x < v`.
+        CmpOp::Gt => below_fraction(stats, CmpOp::Le, value)
+            .map(|f| (1.0 - f) * non_null_frac)
+            .unwrap_or(DEFAULT_SEL),
+        CmpOp::Ge => below_fraction(stats, CmpOp::Lt, value)
             .map(|f| (1.0 - f) * non_null_frac)
             .unwrap_or(DEFAULT_SEL),
     }
 }
 
-/// Fraction of the [min, max] range lying below `value`, assuming a
-/// uniform distribution. `None` when the column is non-numeric or empty.
-fn below_fraction(stats: &ColumnStats, value: &AttrValue) -> Option<f64> {
+/// Fraction of the non-null values `x` with `x op value`, `op` being `<`
+/// or `<=`, assuming a uniform distribution over [min, max]. Strictness
+/// only matters on a single-valued column, where the answer is exactly 0
+/// or 1. `None` when the column is non-numeric or empty.
+fn below_fraction(stats: &ColumnStats, op: CmpOp, value: &AttrValue) -> Option<f64> {
+    debug_assert!(matches!(op, CmpOp::Lt | CmpOp::Le), "{op}");
     let lo = as_f64(stats.min.as_ref()?)?;
     let hi = as_f64(stats.max.as_ref()?)?;
     let v = as_f64(value)?;
     if hi <= lo {
-        return Some(if v >= hi { 1.0 } else { 0.0 });
+        let below = if op == CmpOp::Lt { hi < v } else { hi <= v };
+        return Some(if below { 1.0 } else { 0.0 });
     }
     Some(((v - lo) / (hi - lo)).clamp(0.0, 1.0))
 }
 
+/// `lo <= x <= hi`: everything `<= hi` minus everything `< lo`.
 fn range_fraction(stats: &ColumnStats, lo: &AttrValue, hi: &AttrValue) -> Option<f64> {
-    let below_hi = below_fraction(stats, hi)?;
-    let below_lo = below_fraction(stats, lo)?;
+    let below_hi = below_fraction(stats, CmpOp::Le, hi)?;
+    let below_lo = below_fraction(stats, CmpOp::Lt, lo)?;
     Some((below_hi - below_lo).max(0.0))
 }
 
@@ -255,6 +261,40 @@ mod tests {
         let both = text_selectivity(&ix, "rare unique");
         assert!((0.05..=0.06 + 1e-9).contains(&both), "{both}");
         assert_eq!(text_selectivity(&TextIndex::new(), "anything"), 0.0);
+    }
+
+    #[test]
+    fn single_valued_column_respects_strictness() {
+        let mut s = AttributeStore::new();
+        s.add_column(Column::from_values("x", AttrType::Int, vec![AttrValue::Int(7); 50]).unwrap())
+            .unwrap();
+        let cmp = |op, v: i64| Predicate::Cmp {
+            column: "x".into(),
+            op,
+            value: AttrValue::Int(v),
+        };
+        let between = |lo: i64, hi: i64| Predicate::Between {
+            column: "x".into(),
+            lo: AttrValue::Int(lo),
+            hi: AttrValue::Int(hi),
+        };
+        for p in [
+            cmp(CmpOp::Lt, 7),
+            cmp(CmpOp::Le, 7),
+            cmp(CmpOp::Gt, 7),
+            cmp(CmpOp::Ge, 7),
+            cmp(CmpOp::Lt, 8),
+            cmp(CmpOp::Ge, 8),
+            cmp(CmpOp::Gt, 6),
+            cmp(CmpOp::Le, 6),
+            between(7, 7),
+            between(0, 6),
+            between(8, 9),
+        ] {
+            let exact = p.exact_selectivity(&s).unwrap();
+            assert!(exact == 0.0 || exact == 1.0);
+            assert_eq!(estimate(&p, &s), exact, "{p}");
+        }
     }
 
     #[test]

@@ -645,6 +645,8 @@ mod tests {
     /// the insert, then kills the connection without responding: the
     /// fixed client must NOT re-send it (exactly one apply), while a
     /// read on the same flaky server must still ride the retry path.
+    /// VQL is classified by statement: a `SEARCH` is a read and is
+    /// retried, an `INSERT` is a mutation and is not.
     #[test]
     fn mutation_is_not_auto_retried_when_connection_dies_post_apply() {
         use std::sync::atomic::{AtomicUsize, Ordering};
@@ -652,14 +654,18 @@ mod tests {
         let addr = listener.local_addr().unwrap();
         let inserts_applied = Arc::new(AtomicUsize::new(0));
         let searches_seen = Arc::new(AtomicUsize::new(0));
+        let vql_inserts_applied = Arc::new(AtomicUsize::new(0));
+        let vql_searches_seen = Arc::new(AtomicUsize::new(0));
         let server = {
             let inserts_applied = Arc::clone(&inserts_applied);
             let searches_seen = Arc::clone(&searches_seen);
+            let vql_inserts_applied = Arc::clone(&vql_inserts_applied);
+            let vql_searches_seen = Arc::clone(&vql_searches_seen);
             std::thread::spawn(move || {
                 // Serve connections until the client is done (it closes
                 // by dropping; accept errors end the loop via timeout).
                 listener.set_nonblocking(false).expect("blocking listener");
-                for _ in 0..8 {
+                for _ in 0..12 {
                     let Ok((mut conn, _)) = listener.accept() else {
                         return;
                     };
@@ -683,6 +689,20 @@ mod tests {
                                 wire::write_frame(
                                     &mut conn,
                                     &Response::Hits(vec![SearchHit { key: 7, dist: 0.0 }]).encode(),
+                                )
+                                .unwrap();
+                            }
+                            Request::Vql { statement } if statement.starts_with("INSERT") => {
+                                vql_inserts_applied.fetch_add(1, Ordering::SeqCst);
+                                break;
+                            }
+                            Request::Vql { .. } => {
+                                if vql_searches_seen.fetch_add(1, Ordering::SeqCst) == 0 {
+                                    break;
+                                }
+                                wire::write_frame(
+                                    &mut conn,
+                                    &Response::Hits(vec![SearchHit { key: 3, dist: 0.5 }]).encode(),
                                 )
                                 .unwrap();
                             }
@@ -721,6 +741,20 @@ mod tests {
             .expect("read-only requests ride the retry-once path");
         assert_eq!(hits[0].key, 7);
         assert_eq!(searches_seen.load(Ordering::SeqCst), 2);
+        // The same split for VQL: the statement decides.
+        let err = client
+            .vql("INSERT INTO docs KEY 2 VALUES [1.0]")
+            .expect_err("a VQL insert whose ack was lost cannot claim success");
+        assert!(matches!(err, Error::MaybeApplied(_)), "{err:?}");
+        assert_eq!(vql_inserts_applied.load(Ordering::SeqCst), 1);
+        match client
+            .vql("SEARCH docs K 1 NEAR [1.0] WHERE price < 5")
+            .expect("a VQL search rides the retry-once path")
+        {
+            VqlOutput::Hits(hits) => assert_eq!(hits[0].key, 3),
+            other => panic!("expected hits, got {other:?}"),
+        }
+        assert_eq!(vql_searches_seen.load(Ordering::SeqCst), 2);
         // The accept loop is still parked on the listener; detach it
         // rather than joining (the process teardown reaps it).
         drop(server);

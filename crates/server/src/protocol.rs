@@ -501,27 +501,29 @@ impl Request {
     /// Whether the request cannot mutate server state. Read-only requests
     /// are safe for a client to retry automatically after a connection
     /// failure, even when the failure left the first attempt's outcome
-    /// unknown.
+    /// unknown. A VQL statement is read-only when [`vdb::vql::is_read`]
+    /// says so.
     pub fn is_read_only(&self) -> bool {
-        matches!(
-            self,
+        match self {
             Request::Ping
-                | Request::Search { .. }
-                | Request::SearchBatch { .. }
-                | Request::HybridSearch { .. }
-                | Request::Stats { .. }
-                | Request::ServerStats
-                | Request::ReplStatus { .. }
-                | Request::ReplSnapshot { .. }
-                | Request::ManifestGet { .. }
-        )
+            | Request::Search { .. }
+            | Request::SearchBatch { .. }
+            | Request::HybridSearch { .. }
+            | Request::Stats { .. }
+            | Request::ServerStats
+            | Request::ReplStatus { .. }
+            | Request::ReplSnapshot { .. }
+            | Request::ManifestGet { .. } => true,
+            Request::Vql { statement } => vdb::vql::is_read(statement),
+            _ => false,
+        }
     }
 
     /// Whether a duplicate delivery of this request converges to the same
     /// state as a single delivery. Everything read-only qualifies, plus
     /// the replication/manifest writes, which carry LSNs or versions that
-    /// make re-delivery a no-op. `Insert`/`Delete`/`Vql` do NOT: the
-    /// server applies them unconditionally, so an unknowing retry can
+    /// make re-delivery a no-op. `Insert`/`Delete` and VQL writes do NOT:
+    /// the server applies them unconditionally, so an unknowing retry can
     /// double-apply (see `Client::call`).
     pub fn is_idempotent(&self) -> bool {
         self.is_read_only()
@@ -1267,6 +1269,9 @@ mod tests {
             Request::Vql {
                 statement: "SEARCH docs K 5 NEAR [1, 2, 3] WHERE brand = 'acme'".into(),
             },
+            Request::Vql {
+                statement: "DELETE FROM docs KEY 9".into(),
+            },
             Request::Checkpoint {
                 collection: String::new(),
             },
@@ -1480,6 +1485,9 @@ mod tests {
             let idempotent = req.is_idempotent();
             assert!(!read_only || idempotent, "read-only implies idempotent");
             match &req {
+                Request::Vql { statement } if statement.starts_with("SEARCH") => {
+                    assert!(read_only, "a VQL read rides the retry: {req:?}")
+                }
                 Request::Insert { .. }
                 | Request::Delete { .. }
                 | Request::Vql { .. }

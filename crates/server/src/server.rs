@@ -285,7 +285,7 @@ enum Lane {
 }
 
 /// Reads and point lookups are interactive; mutations and maintenance
-/// are bulk. VQL is classified by its leading keyword.
+/// are bulk. VQL is classified by [`vdb::vql::is_read`].
 fn lane_of(request: &Request) -> Lane {
     match request {
         Request::Search { .. }
@@ -296,8 +296,7 @@ fn lane_of(request: &Request) -> Lane {
         | Request::Ping => Lane::Interactive,
         Request::Insert { .. } | Request::Delete { .. } | Request::Checkpoint { .. } => Lane::Bulk,
         Request::Vql { statement } => {
-            let head = statement.split_whitespace().next().unwrap_or("");
-            if head.eq_ignore_ascii_case("search") || head.eq_ignore_ascii_case("count") {
+            if vdb::vql::is_read(statement) {
                 Lane::Interactive
             } else {
                 Lane::Bulk
@@ -671,6 +670,12 @@ impl ServerHandle {
     /// two and go unshipped.
     pub fn with_db_mut<R>(&self, f: impl FnOnce(&mut Vdbms) -> R) -> R {
         f(&mut write_db(self.shared()))
+    }
+
+    /// Run `f` against the served database under the read lock: wire
+    /// reads proceed alongside it, wire writes wait until it returns.
+    pub fn with_db<R>(&self, f: impl FnOnce(&Vdbms) -> R) -> R {
+        f(&read_db(self.shared()))
     }
 
     /// Track a replicator for the stats plane (see `Shared::replicators`).
@@ -1145,6 +1150,15 @@ fn fused_response(result: HybridResult) -> Response {
     }
 }
 
+fn vql_response(output: VqlOutput) -> Response {
+    match output {
+        VqlOutput::Hits(hits) => Response::Hits(hits),
+        VqlOutput::FusedHits(result) => fused_response(result),
+        VqlOutput::Count(n) => Response::Count(n as u64),
+        VqlOutput::Done => Response::Done,
+    }
+}
+
 fn read_db(shared: &Shared) -> std::sync::RwLockReadGuard<'_, Vdbms> {
     match shared.db.read() {
         Ok(g) => g,
@@ -1235,12 +1249,18 @@ fn execute(shared: &Shared, request: &Request) -> Response {
                 )?;
                 fused_response(result)
             }
-            Request::Vql { statement } => match write_db(shared).execute(statement)? {
-                VqlOutput::Hits(hits) => Response::Hits(hits),
-                VqlOutput::FusedHits(result) => fused_response(result),
-                VqlOutput::Count(n) => Response::Count(n as u64),
-                VqlOutput::Done => Response::Done,
-            },
+            Request::Vql { statement } => {
+                // Parsed before any lock: a malformed statement is
+                // answered without waiting on the database, and reads
+                // share it instead of serializing behind one another.
+                let statement = vdb::parse_vql(statement)?;
+                let output = if statement.is_read() {
+                    read_db(shared).execute_read(&statement)?
+                } else {
+                    write_db(shared).execute_statement(statement)?
+                };
+                vql_response(output)
+            }
             Request::Checkpoint { collection } => {
                 let mut db = write_db(shared);
                 if collection.is_empty() {

@@ -1,13 +1,17 @@
 //! Attribute columns for hybrid queries.
 //!
 //! The storage-manager side of "vectors are associated to structured
-//! attributes" (§2.1(3)). Columns are typed, nullable, and keep light
-//! statistics (min/max, distinct estimate) that the query optimizer uses
-//! for selectivity estimation.
+//! attributes" (§2.1(3)). Columns are typed, nullable, and keep a
+//! summary — exact statistics for selectivity estimation plus, for
+//! numeric columns, the rows in value order so range predicates are
+//! answered by binary search instead of a scan (§2.3). The summary is
+//! built on first use and dropped by every mutation, so a column that is
+//! only read (a published main segment) computes it exactly once.
 
+use std::cmp::Ordering;
 use std::collections::HashMap;
+use std::sync::OnceLock;
 use vdb_core::attr::{AttrType, AttrValue};
-use vdb_core::bitset::BitSet;
 use vdb_core::error::{Error, Result};
 
 /// Summary statistics maintained per column.
@@ -26,12 +30,88 @@ pub struct ColumnStats {
     pub distinct: usize,
 }
 
+impl ColumnStats {
+    /// Compute statistics by one pass over `values`.
+    fn of(values: &[AttrValue]) -> Self {
+        let mut non_null = 0;
+        let mut nulls = 0;
+        let mut min: Option<AttrValue> = None;
+        let mut max: Option<AttrValue> = None;
+        let mut distinct: HashMap<String, ()> = HashMap::new();
+        for v in values {
+            if v.is_null() {
+                nulls += 1;
+                continue;
+            }
+            non_null += 1;
+            distinct.entry(v.to_string()).or_insert(());
+            if min
+                .as_ref()
+                .is_none_or(|m| v.compare(m) == Some(Ordering::Less))
+            {
+                min = Some(v.clone());
+            }
+            if max
+                .as_ref()
+                .is_none_or(|m| v.compare(m) == Some(Ordering::Greater))
+            {
+                max = Some(v.clone());
+            }
+        }
+        ColumnStats {
+            non_null,
+            nulls,
+            min,
+            max,
+            distinct: distinct.len(),
+        }
+    }
+}
+
+/// Everything a query reads about a column without scanning it.
+#[derive(Debug, Clone, PartialEq)]
+struct ColumnSummary {
+    stats: ColumnStats,
+    /// Int and Float columns: every row whose value compares (not null,
+    /// not NaN), ordered by [`AttrValue::compare`], ties by row. `None`
+    /// for other column types.
+    sorted_rows: Option<Vec<u32>>,
+}
+
+impl ColumnSummary {
+    fn of(ty: AttrType, values: &[AttrValue]) -> Self {
+        let numeric = matches!(ty, AttrType::Int | AttrType::Float);
+        let sorted_rows = (numeric && u32::try_from(values.len()).is_ok()).then(|| {
+            let mut rows: Vec<u32> = (0..values.len() as u32)
+                .filter(|&r| {
+                    let v = &values[r as usize];
+                    v.compare(v).is_some()
+                })
+                .collect();
+            // Stable: equal values keep row order. Every kept value
+            // compares, so the fallback never fires.
+            rows.sort_by(|&a, &b| {
+                values[a as usize]
+                    .compare(&values[b as usize])
+                    .unwrap_or(Ordering::Equal)
+            });
+            rows
+        });
+        ColumnSummary {
+            stats: ColumnStats::of(values),
+            sorted_rows,
+        }
+    }
+}
+
 /// A typed, nullable attribute column.
 #[derive(Debug, Clone)]
 pub struct Column {
     name: String,
     ty: AttrType,
     values: Vec<AttrValue>,
+    /// Built on first read, dropped by every `&mut` method.
+    summary: OnceLock<ColumnSummary>,
 }
 
 impl Column {
@@ -41,6 +121,7 @@ impl Column {
             name: name.into(),
             ty,
             values: Vec::new(),
+            summary: OnceLock::new(),
         }
     }
 
@@ -57,6 +138,7 @@ impl Column {
             name: name.into(),
             ty,
             values,
+            summary: OnceLock::new(),
         })
     }
 
@@ -84,6 +166,7 @@ impl Column {
     pub fn push(&mut self, v: AttrValue) -> Result<()> {
         v.check_type(self.ty)?;
         self.values.push(v);
+        self.summary.take();
         Ok(())
     }
 
@@ -104,43 +187,27 @@ impl Column {
             return Err(Error::NotFound(format!("row {row}")));
         }
         self.values[row] = v;
+        self.summary.take();
         Ok(())
     }
 
-    /// Compute statistics by one pass over the column.
-    pub fn stats(&self) -> ColumnStats {
-        let mut non_null = 0;
-        let mut nulls = 0;
-        let mut min: Option<AttrValue> = None;
-        let mut max: Option<AttrValue> = None;
-        let mut distinct: HashMap<String, ()> = HashMap::new();
-        for v in &self.values {
-            if v.is_null() {
-                nulls += 1;
-                continue;
-            }
-            non_null += 1;
-            distinct.entry(v.to_string()).or_insert(());
-            if min
-                .as_ref()
-                .is_none_or(|m| v.compare(m) == Some(std::cmp::Ordering::Less))
-            {
-                min = Some(v.clone());
-            }
-            if max
-                .as_ref()
-                .is_none_or(|m| v.compare(m) == Some(std::cmp::Ordering::Greater))
-            {
-                max = Some(v.clone());
-            }
-        }
-        ColumnStats {
-            non_null,
-            nulls,
-            min,
-            max,
-            distinct: distinct.len(),
-        }
+    /// The column's summary, computed on the first call after a mutation.
+    fn summary(&self) -> &ColumnSummary {
+        self.summary
+            .get_or_init(|| ColumnSummary::of(self.ty, &self.values))
+    }
+
+    /// Exact statistics (from the cached summary).
+    pub fn stats(&self) -> &ColumnStats {
+        &self.summary().stats
+    }
+
+    /// Int and Float columns: every row whose value compares (not null,
+    /// not NaN), ordered by [`AttrValue::compare`], ties by row, so a
+    /// range predicate's matches are one contiguous slice. `None` for
+    /// other column types. Cached like [`Column::stats`].
+    pub fn sorted_rows(&self) -> Option<&[u32]> {
+        self.summary().sorted_rows.as_deref()
     }
 }
 
@@ -211,22 +278,6 @@ impl AttributeStore {
         }
         self.rows += 1;
         Ok(())
-    }
-
-    /// Evaluate `pred` on every row of column `name`, producing the
-    /// blocking bitmask used by block-first scans (§2.3(1)).
-    pub fn bitmask<F>(&self, name: &str, pred: F) -> Result<BitSet>
-    where
-        F: Fn(&AttrValue) -> bool,
-    {
-        let col = self.column(name)?;
-        let mut bits = BitSet::new(self.rows);
-        for (i, v) in col.values().iter().enumerate() {
-            if pred(v) {
-                bits.insert(i);
-            }
-        }
-        Ok(bits)
     }
 }
 
@@ -303,17 +354,55 @@ mod tests {
     }
 
     #[test]
-    fn bitmask_matches_predicate() {
+    fn sorted_rows_order_comparable_values_only() {
+        let f = Column::from_values(
+            "f",
+            AttrType::Float,
+            vec![
+                AttrValue::Float(2.5),
+                AttrValue::Null,
+                AttrValue::Float(f64::NAN),
+                AttrValue::Float(-1.0),
+                AttrValue::Float(2.5),
+                AttrValue::Float(0.0),
+            ],
+        )
+        .unwrap();
+        // Nulls and NaN never compare, so they are left out; ties keep
+        // row order.
+        assert_eq!(f.sorted_rows(), Some(&[3, 5, 0, 4][..]));
         let s = sample_store();
-        let bits = s
-            .bitmask("price", |v| {
-                v.compare(&AttrValue::Int(15)) == Some(std::cmp::Ordering::Less)
-            })
+        assert_eq!(
+            s.column("price").unwrap().sorted_rows(),
+            Some(&[0, 3, 1][..])
+        );
+        assert_eq!(s.column("brand").unwrap().sorted_rows(), None);
+    }
+
+    #[test]
+    fn summary_after_push_and_set_equals_a_fresh_recompute() {
+        let mut s = sample_store();
+        let fresh = |c: &Column| {
+            Column::from_values(c.name(), c.ty(), c.values().to_vec())
+                .unwrap()
+                .summary()
+                .clone()
+        };
+        // Read the summary first so a stale cache would show.
+        for c in &s.columns {
+            assert_eq!(c.summary(), &fresh(c));
+        }
+        s.push_row(&[("price", AttrValue::Int(-4)), ("brand", "zen".into())])
             .unwrap();
-        assert_eq!(bits.iter().collect::<Vec<_>>(), vec![0, 3]);
-        // Nulls never match.
-        let all = s.bitmask("price", |v| !v.is_null()).unwrap();
-        assert_eq!(all.count(), 3);
+        for c in &s.columns {
+            assert_eq!(c.summary(), &fresh(c), "after push: {}", c.name());
+        }
+        let col = s.columns.iter_mut().find(|c| c.name() == "price").unwrap();
+        col.set(1, AttrValue::Null).unwrap();
+        col.set(2, AttrValue::Int(40)).unwrap();
+        assert_eq!(col.summary(), &fresh(col), "after set");
+        assert_eq!(col.stats().max, Some(AttrValue::Int(40)));
+        assert_eq!(col.sorted_rows(), Some(&[4, 0, 3, 2][..]));
     }
 
     #[test]

@@ -10,8 +10,9 @@
 //! - [`prefetch`] — std-only asynchronous I/O worker pool feeding the
 //!   cache (the disk pipeline's overlap engine, with an io_uring seam),
 //! - [`vector_store`] — page-aligned disk-resident vector records,
-//! - [`column`] — typed, nullable attribute columns with statistics for
-//!   selectivity estimation (§2.1 hybrid queries),
+//! - [`column`] — typed, nullable attribute columns with a cached summary
+//!   (exact statistics, numeric rows in value order) for selectivity
+//!   estimation and range filters (§2.1 hybrid queries),
 //! - [`lsm`] — LSM-style out-of-place update buffer (§2.3(3)),
 //! - [`wal`] — checksummed write-ahead log with torn-tail-tolerant replay,
 //! - [`snapshot`] — atomic write-then-rename checkpoints of merged

@@ -49,9 +49,9 @@ use vdb_core::sync::{Mutex, Published};
 use vdb_core::topk::Neighbor;
 use vdb_core::vector::Vectors;
 use vdb_query::{
-    bm25_score, execute_with, fuse, text_selectivity, CorpusStats, Fusion, HybridCandidate,
-    HybridHit, HybridStrategy, Planner, PlannerMode, Predicate, QueryContext, Strategy, TextIndex,
-    VectorQuery, DEFAULT_STOPWORDS,
+    bm25_score, execute_with, fuse, text_selectivity, CompiledPredicate, CorpusStats, Fusion,
+    HybridCandidate, HybridHit, HybridStrategy, Planner, PlannerMode, Predicate, QueryContext,
+    Strategy, TextIndex, VectorQuery, DEFAULT_STOPWORDS,
 };
 use vdb_storage::{
     decode_shipped, ship_record, snapshot, AttributeStore, Column, LsmConfig, LsmStore, Snapshot,
@@ -1229,6 +1229,7 @@ impl Collection {
         let want_text = effective != HybridStrategy::VectorFirst;
         let want_vector = effective != HybridStrategy::TextFirst;
         if want_text {
+            let filter = CompiledPredicate::compile(predicate, &m.attrs)?;
             // Over-fetch past rows the filters will discard: hidden or
             // retired rows plus (heuristically) predicate failures.
             let fetch_t = 2 * (m_over + shadowed) + hidden.len();
@@ -1242,7 +1243,7 @@ impl Collection {
                     continue;
                 }
                 let key = m.row_keys[row];
-                if hidden.contains(&key) || !predicate.eval(&m.attrs, row) {
+                if hidden.contains(&key) || !filter.eval(row) {
                     continue;
                 }
                 cand.insert(key, (Src::Main(row), None));
@@ -1376,6 +1377,7 @@ impl Collection {
         let m = self.inner.main.read(); // pin before releasing `pending`
         drop(p);
         if let Some(index) = &m.index {
+            let filter = CompiledPredicate::compile(predicate, &m.attrs)?;
             for n in index.range_search(vector, radius, params)? {
                 let key = m.row_keys[n.id];
                 if m.key_to_row.get(&key) != Some(&n.id) {
@@ -1384,7 +1386,7 @@ impl Collection {
                 if hidden.contains(&key) {
                     continue;
                 }
-                if !predicate.eval(&m.attrs, n.id) {
+                if !filter.eval(n.id) {
                     continue;
                 }
                 hits.push(SearchHit { key, dist: n.dist });
@@ -1400,7 +1402,9 @@ impl Collection {
         &mut self.planner
     }
 
-    /// Exact selectivity of a predicate over the indexed part (diagnostics).
+    /// Exact selectivity of a predicate over the indexed part
+    /// (diagnostics). A numeric range costs two binary searches over the
+    /// column's cached sorted run; anything else a compiled scan.
     pub fn selectivity(&self, predicate: &Predicate) -> Result<f64> {
         let m = self.inner.main.read();
         predicate.exact_selectivity(&m.attrs)

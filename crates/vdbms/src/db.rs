@@ -202,46 +202,13 @@ impl Vdbms {
 
     /// Parse and execute one VQL statement.
     pub fn execute(&mut self, statement: &str) -> Result<VqlOutput> {
-        match vql::parse(statement)? {
-            VqlStatement::Search {
-                collection,
-                vector,
-                k,
-                predicate,
-                strategy,
-                params,
-            } => {
-                let c = self.collection(&collection)?;
-                let hits = c.search_hybrid(&vector, k, &predicate, &params, strategy)?;
-                Ok(VqlOutput::Hits(hits))
-            }
-            VqlStatement::HybridSearch {
-                collection,
-                vector,
-                query,
-                k,
-                predicate,
-                fusion,
-                strategy,
-                params,
-            } => {
-                let c = self.collection(&collection)?;
-                let result = c.hybrid_text_search(
-                    &vector, &query, k, &predicate, fusion, strategy, &params,
-                )?;
-                Ok(VqlOutput::FusedHits(result))
-            }
-            VqlStatement::RangeSearch {
-                collection,
-                vector,
-                radius,
-                predicate,
-                params,
-            } => {
-                let c = self.collection(&collection)?;
-                let hits = c.range_search(&vector, radius, &predicate, &params)?;
-                Ok(VqlOutput::Hits(hits))
-            }
+        self.execute_statement(vql::parse(statement)?)
+    }
+
+    /// Execute a parsed statement: writes here, reads through
+    /// [`Vdbms::execute_read`].
+    pub fn execute_statement(&mut self, statement: VqlStatement) -> Result<VqlOutput> {
+        match statement {
             VqlStatement::Insert {
                 collection,
                 key,
@@ -258,9 +225,59 @@ impl Vdbms {
                 self.collection_mut(&collection)?.delete(key)?;
                 Ok(VqlOutput::Done)
             }
-            VqlStatement::Count { collection } => {
-                Ok(VqlOutput::Count(self.collection(&collection)?.len()))
+            read => self.execute_read(&read),
+        }
+    }
+
+    /// Execute a read statement ([`VqlStatement::is_read`]) with shared
+    /// access, so concurrent readers do not serialize. A write statement
+    /// is refused.
+    pub fn execute_read(&self, statement: &VqlStatement) -> Result<VqlOutput> {
+        match statement {
+            VqlStatement::Search {
+                collection,
+                vector,
+                k,
+                predicate,
+                strategy,
+                params,
+            } => {
+                let c = self.collection(collection)?;
+                let hits = c.search_hybrid(vector, *k, predicate, params, *strategy)?;
+                Ok(VqlOutput::Hits(hits))
             }
+            VqlStatement::HybridSearch {
+                collection,
+                vector,
+                query,
+                k,
+                predicate,
+                fusion,
+                strategy,
+                params,
+            } => {
+                let c = self.collection(collection)?;
+                let result =
+                    c.hybrid_text_search(vector, query, *k, predicate, *fusion, *strategy, params)?;
+                Ok(VqlOutput::FusedHits(result))
+            }
+            VqlStatement::RangeSearch {
+                collection,
+                vector,
+                radius,
+                predicate,
+                params,
+            } => {
+                let c = self.collection(collection)?;
+                let hits = c.range_search(vector, *radius, predicate, params)?;
+                Ok(VqlOutput::Hits(hits))
+            }
+            VqlStatement::Count { collection } => {
+                Ok(VqlOutput::Count(self.collection(collection)?.len()))
+            }
+            VqlStatement::Insert { .. } | VqlStatement::Delete { .. } => Err(Error::InvalidQuery(
+                "INSERT and DELETE need write access: use Vdbms::execute".into(),
+            )),
         }
     }
 }
@@ -480,6 +497,53 @@ mod tests {
         assert!(plain
             .execute("SEARCH docs K 1 NEAR [1, 0, 0] MATCH 'anything'")
             .is_err());
+    }
+
+    #[test]
+    fn reads_run_on_shared_access_and_writes_are_refused_there() {
+        let mut db = db();
+        for stmt in [
+            "INSERT INTO docs KEY 1 VALUES [1, 0, 0] SET price = 10",
+            "INSERT INTO docs KEY 2 VALUES [2, 0, 0] SET price = 20",
+        ] {
+            assert_eq!(db.execute(stmt).unwrap(), VqlOutput::Done);
+        }
+        for (text, want) in [
+            (
+                "SEARCH docs K 2 NEAR [1.9, 0, 0] WHERE price >= 10",
+                vec![2, 1],
+            ),
+            ("SEARCH docs WITHIN 0.5 NEAR [2, 0, 0]", vec![2]),
+        ] {
+            let stmt = vql::parse(text).unwrap();
+            assert!(stmt.is_read());
+            let shared: &Vdbms = &db;
+            match shared.execute_read(&stmt).unwrap() {
+                VqlOutput::Hits(hits) => {
+                    assert_eq!(hits.iter().map(|h| h.key).collect::<Vec<_>>(), want)
+                }
+                other => panic!("{text}: expected hits, got {other:?}"),
+            }
+            assert_eq!(
+                db.execute_read(&stmt).unwrap(),
+                db.execute(text).unwrap(),
+                "{text}"
+            );
+        }
+        let count = vql::parse("COUNT docs").unwrap();
+        assert_eq!(db.execute_read(&count).unwrap(), VqlOutput::Count(2));
+        for text in [
+            "INSERT INTO docs KEY 3 VALUES [3, 0, 0]",
+            "DELETE FROM docs KEY 1",
+        ] {
+            let stmt = vql::parse(text).unwrap();
+            assert!(!stmt.is_read());
+            assert!(matches!(
+                db.execute_read(&stmt),
+                Err(Error::InvalidQuery(_))
+            ));
+        }
+        assert_eq!(db.execute("COUNT docs").unwrap(), VqlOutput::Count(2));
     }
 
     #[test]

@@ -101,6 +101,38 @@ pub enum VqlStatement {
     },
 }
 
+impl VqlStatement {
+    /// Whether the statement only reads (`SEARCH` in every form, `COUNT`)
+    /// — what [`Vdbms::execute_read`](crate::Vdbms::execute_read) runs
+    /// under shared access. [`is_read`] answers the same from the text.
+    pub fn is_read(&self) -> bool {
+        !matches!(
+            self,
+            VqlStatement::Insert { .. } | VqlStatement::Delete { .. }
+        )
+    }
+}
+
+/// Statement keywords that only read. The test
+/// `text_classifier_agrees_with_parsed_statements` keeps this in step with
+/// the parser.
+const READ_HEADS: [&str; 2] = ["search", "count"];
+
+/// Whether `statement` only reads, judged from its leading keyword without
+/// parsing it. For every statement that parses this equals
+/// [`VqlStatement::is_read`]; text that does not parse never changes
+/// anything, whatever this says. Serving classifies VQL with it before a
+/// statement is parsed: its queue lane, and whether a client may resend it
+/// after a lost reply.
+pub fn is_read(statement: &str) -> bool {
+    let head = statement
+        .trim_start()
+        .split(|c: char| !(c.is_alphanumeric() || c == '_'))
+        .next()
+        .unwrap_or("");
+    READ_HEADS.iter().any(|r| head.eq_ignore_ascii_case(r))
+}
+
 // ---------------------------------------------------------------------------
 // Lexer
 // ---------------------------------------------------------------------------
@@ -909,6 +941,47 @@ mod tests {
         // Negative radius rejected; USING not valid for range search.
         assert!(parse("SEARCH docs WITHIN -1 NEAR [1]").is_err());
         assert!(parse("SEARCH docs WITHIN 1 NEAR [1] USING post_filter").is_err());
+    }
+
+    #[test]
+    fn text_classifier_agrees_with_parsed_statements() {
+        let forms = [
+            ("SEARCH docs K 3 NEAR [1, 2]", true),
+            (
+                "search docs k 3 near [1, 2] where price < 5 using pre_filter",
+                true,
+            ),
+            ("SEARCH docs K 3 NEAR [1] MATCH 'rust db' FUSE rrf 60", true),
+            ("  Search docs WITHIN 2.5 NEAR [1] WHERE price < 50", true),
+            ("COUNT docs", true),
+            ("\tcount docs", true),
+            ("INSERT INTO docs KEY 1 VALUES [1] SET price = 3", false),
+            ("insert into docs key 1 values [1]", false),
+            ("DELETE FROM docs KEY 7", false),
+            ("\n delete from docs key 7", false),
+        ];
+        for (text, read) in forms {
+            let stmt = parse(text).unwrap_or_else(|e| panic!("{text}: {e}"));
+            assert_eq!(stmt.is_read(), read, "{text}");
+            assert_eq!(is_read(text), stmt.is_read(), "{text}");
+        }
+        // Every variant is covered above.
+        let variants: std::collections::HashSet<_> = forms
+            .iter()
+            .map(|(t, _)| std::mem::discriminant(&parse(t).unwrap()))
+            .collect();
+        assert_eq!(variants.len(), 6);
+        // Without a read keyword in front, text is not a read.
+        for bad in [
+            "",
+            "FROB docs",
+            "searching docs",
+            "SEARCHdocs K 1",
+            "[1] SEARCH",
+        ] {
+            assert!(parse(bad).is_err(), "{bad}");
+            assert!(!is_read(bad), "{bad}");
+        }
     }
 
     #[test]

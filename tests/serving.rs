@@ -573,3 +573,159 @@ fn malformed_match_clause_returns_typed_parse_error_with_position() {
     }
     handle.shutdown();
 }
+
+/// `docs` with an integer `price` column equal to each row's key, merged
+/// into the main part so predicates run on the indexed columns.
+fn priced_db(n: u64) -> Vdbms {
+    use vdb_core::attr::{AttrType, AttrValue};
+    let mut db = Vdbms::new(SystemProfile::MostlyMixed);
+    db.create_collection(
+        CollectionSchema::new("docs", 4, Metric::Euclidean).column("price", AttrType::Int),
+        IndexSpec::Flat,
+    )
+    .unwrap();
+    let c = db.collection_mut("docs").unwrap();
+    for i in 0..n {
+        c.insert(
+            i,
+            &[i as f32, 0.0, 0.0, 0.0],
+            &[("price", AttrValue::Int(i as i64))],
+        )
+        .unwrap();
+    }
+    c.merge().unwrap();
+    db
+}
+
+/// A client that gives up after a few seconds instead of hanging, so a
+/// request stuck behind a lock fails the test rather than stalling it.
+fn impatient_client(handle: &vdb_server::ServerHandle) -> Client {
+    let cfg = vdb_server::ClientConfig {
+        read_timeout: Duration::from_secs(3),
+        ..vdb_server::ClientConfig::default()
+    };
+    Client::connect_with(handle.addr(), cfg).unwrap()
+}
+
+fn vql_keys(client: &Client, statement: &str) -> Vec<u64> {
+    match client.vql(statement) {
+        Ok(VqlOutput::Hits(hits)) => hits.iter().map(|h| h.key).collect(),
+        other => panic!("{statement}: expected hits, got {other:?}"),
+    }
+}
+
+/// VQL reads run under the shared lock on both connection cores: two
+/// connections search with predicates concurrently and get exact
+/// answers, and a search completes while another reader holds the lock.
+#[test]
+fn concurrent_vql_searches_with_predicates_share_the_read_lock() {
+    for event_loop in [Some(true), Some(false)] {
+        let cfg = ServerConfig {
+            event_loop,
+            ..ServerConfig::default()
+        };
+        let handle = serve(priced_db(300), "127.0.0.1:0", cfg).unwrap();
+        let clients = [impatient_client(&handle), impatient_client(&handle)];
+        std::thread::scope(|s| {
+            for (c, client) in clients.iter().enumerate() {
+                s.spawn(move || {
+                    for i in 0..40u64 {
+                        let t = (i * 7 + c as u64 * 13) % 290;
+                        // Nearest rows to t + 0.3 priced at least t + 1.
+                        let stmt = format!(
+                            "SEARCH docs K 3 NEAR [{}.3, 0, 0, 0] WHERE price >= {}",
+                            t,
+                            t + 1
+                        );
+                        assert_eq!(vql_keys(client, &stmt), vec![t + 1, t + 2, t + 3]);
+                        let stmt = format!(
+                            "SEARCH docs K 5 NEAR [{t}, 0, 0, 0] WHERE price BETWEEN {} AND {}",
+                            t.saturating_sub(1),
+                            t + 1
+                        );
+                        let mut want: Vec<u64> = (t.saturating_sub(1)..=t + 1).collect();
+                        want.sort_by_key(|&k| (k.abs_diff(t), k));
+                        assert_eq!(vql_keys(client, &stmt), want);
+                    }
+                });
+            }
+        });
+        // Another reader holds the database: a VQL read still answers.
+        let keys = handle.with_db(|_| {
+            vql_keys(
+                &clients[0],
+                "SEARCH docs K 2 NEAR [10, 0, 0, 0] WHERE price < 10",
+            )
+        });
+        assert_eq!(keys, vec![9, 8]);
+        handle.shutdown();
+    }
+}
+
+/// VQL writes still take the exclusive lock, and what they change is
+/// visible to the next VQL search.
+#[test]
+fn vql_writes_take_the_write_lock_and_are_visible_to_the_next_search() {
+    for event_loop in [Some(true), Some(false)] {
+        let cfg = ServerConfig {
+            event_loop,
+            ..ServerConfig::default()
+        };
+        let handle = serve(priced_db(50), "127.0.0.1:0", cfg).unwrap();
+        let client = Arc::new(impatient_client(&handle));
+        let search = "SEARCH docs K 2 NEAR [100, 0, 0, 0] WHERE price > 40";
+        assert_eq!(vql_keys(&client, search), vec![49, 48]);
+
+        // While a reader holds the database the insert waits.
+        let (tx, rx) = std::sync::mpsc::channel();
+        let writer = handle.with_db(|_| {
+            let client = client.clone();
+            let writer = std::thread::spawn(move || {
+                tx.send(client.vql("INSERT INTO docs KEY 99 VALUES [99, 0, 0, 0] SET price = 99"))
+                    .unwrap()
+            });
+            assert!(
+                rx.recv_timeout(Duration::from_millis(300)).is_err(),
+                "a VQL INSERT must wait for the exclusive lock"
+            );
+            writer
+        });
+        writer.join().unwrap();
+        let inserted = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+        assert!(matches!(inserted, Ok(VqlOutput::Done)), "{inserted:?}");
+        assert_eq!(vql_keys(&client, search), vec![99, 49]);
+
+        assert!(matches!(
+            client.vql("DELETE FROM docs KEY 99").unwrap(),
+            VqlOutput::Done
+        ));
+        assert_eq!(vql_keys(&client, search), vec![49, 48]);
+        match client.vql("COUNT docs").unwrap() {
+            VqlOutput::Count(n) => assert_eq!(n, 50),
+            other => panic!("expected count, got {other:?}"),
+        }
+        handle.shutdown();
+    }
+}
+
+/// A malformed statement is answered before any lock is taken: it comes
+/// back while the database is held exclusively.
+#[test]
+fn vql_parse_error_is_answered_without_taking_a_lock() {
+    for event_loop in [Some(true), Some(false)] {
+        let cfg = ServerConfig {
+            event_loop,
+            ..ServerConfig::default()
+        };
+        let handle = serve(priced_db(10), "127.0.0.1:0", cfg).unwrap();
+        let client = impatient_client(&handle);
+        for bad in ["FROB docs", "SEARCH docs K 1 NEAR [1, 0, 0, 0] WHERE"] {
+            let answer = handle.with_db_mut(|_| client.vql(bad));
+            assert!(
+                matches!(answer, Err(vdb_core::Error::ParseAt { .. })),
+                "{bad}: {answer:?}"
+            );
+        }
+        handle.shutdown();
+    }
+}
