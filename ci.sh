@@ -37,6 +37,10 @@ echo "== crash-fault injection: durability sweep =="
 # shadowed-row counter against a full rescan on every call.
 cargo test -q --test crash_recovery
 cargo test -q -p vdb-storage --test wal_torn_tail
+# With parallel builds a rebuild is NOT the graph that was served: only
+# the index image in the checkpoint makes the HNSW sweeps' recovered
+# answers equal the pre-crash answers, so this pass proves the image path.
+VDB_BUILD_THREADS=4 cargo test -q --test crash_recovery
 
 echo "== online maintenance: mutability + background-merge stress =="
 # Mixed insert/delete/search stress: per-family tombstone correctness

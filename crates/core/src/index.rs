@@ -295,6 +295,15 @@ pub trait VectorIndex: Send + Sync {
         IndexStats::default()
     }
 
+    /// A self-contained, versioned serialization of the built structure,
+    /// from which the index can be reloaded over the same vectors with no
+    /// distance computations (checkpoint snapshots store it so recovery
+    /// does not rebuild). `None` for families without an image format;
+    /// those are rebuilt from their vectors.
+    fn image(&self) -> Option<Vec<u8>> {
+        None
+    }
+
     /// The optional mutable capability: `Some` when this index supports
     /// in-place insert *and* remove (tombstone + repair), `None` for
     /// static structures that must be rebuilt out-of-place. Collections

@@ -20,6 +20,7 @@
 //! - [`rng`] — vendored deterministic RNG so index builds are bit-stable,
 //! - [`linalg`] — small dense linear algebra (PCA, rotations, inverses),
 //! - [`bitset`] — blocking bitmasks and O(1)-reset visited sets,
+//! - [`checksum`] — the workspace's one CRC-32 (slice-by-8),
 //! - [`context`] — reusable per-query search scratch (visited set,
 //!   pools, buffers) shared by every index and the batched executor,
 //! - [`parallel`] — scoped-thread fork/join helpers and [`parallel::BuildOptions`]
@@ -39,6 +40,7 @@
 pub mod analysis;
 pub mod attr;
 pub mod bitset;
+pub mod checksum;
 pub mod context;
 pub mod dataset;
 pub mod error;
@@ -56,6 +58,7 @@ pub mod topk;
 pub mod vector;
 
 pub use attr::{AttrType, AttrValue};
+pub use checksum::crc32;
 pub use context::{ContextPool, SearchContext};
 pub use error::{Error, Result};
 pub use flat::FlatIndex;

@@ -29,20 +29,9 @@ pub const MAGIC: u32 = 0x5744_4256;
 /// corrupt length header cannot OOM the peer.
 pub const MAX_FRAME: u32 = 16 * 1024 * 1024;
 
-/// CRC-32 (IEEE 802.3, reflected). Bitwise implementation — framing cost
-/// is dominated by the syscall, not the checksum. Mirrors the WAL's CRC
-/// in `vdb-storage` (this crate cannot depend on it).
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
+/// The workspace CRC-32 (the same checksum as the WAL's), re-exported
+/// so `wire::crc32` callers keep compiling.
+pub use vdb_core::crc32;
 
 /// Write one frame (header + payload) and flush.
 pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<()> {

@@ -396,7 +396,10 @@ impl DiskAnnIndex {
     }
 
     /// Reopen a previously built index. Both layout versions load: v0
-    /// (identity order, the original format) and v1 (BFS-packed).
+    /// (identity order, the original format) and v1 (BFS-packed). The
+    /// header, entry point, and every in-memory array are range-checked,
+    /// and searches skip stored neighbour ids `>= n`, so a damaged file
+    /// is an error or a worse answer, never a panic.
     pub fn open<P: AsRef<Path>>(path: P, metric: Metric, cache_pages: usize) -> Result<Self> {
         let file = Arc::new(PagedFile::open(path)?);
         let header = file.read_page(PageId(0))?;
@@ -418,6 +421,10 @@ impl DiskAnnIndex {
             return Err(Error::Corrupt(format!(
                 "unknown DiskANN layout version {layout}"
             )));
+        }
+        let record_bytes = 4 + r * 4 + dim * 4;
+        if record_bytes > PAGE_SIZE || (n > 0 && start >= n) {
+            return Err(Error::Corrupt("bad DiskANN header".into()));
         }
         metric.validate(dim)?;
         let dsub = dim / m;
@@ -444,6 +451,11 @@ impl DiskAnnIndex {
             .chunks_exact(4)
             .map(|c| u32::from_le_bytes(c.try_into().expect("4 bytes")))
             .collect();
+        if nav_assign.iter().any(|&c| c as usize >= nlist) {
+            return Err(Error::Corrupt(
+                "DiskANN cluster assignment out of range".into(),
+            ));
+        }
         let codes = read_run(
             &file,
             1 + codebook_pages + centroid_pages + assign_pages,
@@ -466,7 +478,12 @@ impl DiskAnnIndex {
         } else {
             (Vec::new(), 0)
         };
-        let record_bytes = 4 + r * 4 + dim * 4;
+        let records_per_page = PAGE_SIZE / record_bytes;
+        let data_start =
+            1 + codebook_pages + centroid_pages + assign_pages + code_pages + slot_pages;
+        if file.num_pages() < data_start + (n as u64).div_ceil(records_per_page as u64) {
+            return Err(Error::Corrupt("DiskANN file is missing data pages".into()));
+        }
         let idx = DiskAnnIndex {
             dim,
             n,
@@ -479,13 +496,8 @@ impl DiskAnnIndex {
             codes,
             slot_of,
             cache: Arc::new(PageCache::new(file, cache_pages)),
-            records_per_page: PAGE_SIZE / record_bytes,
-            data_start: 1
-                + codebook_pages
-                + centroid_pages
-                + assign_pages
-                + code_pages
-                + slot_pages,
+            records_per_page,
+            data_start,
             prefetch: AtomicBool::new(prefetch_default()),
         };
         idx.pin_hot_set(DiskAnnConfig::default().hot_pages)?;
@@ -802,6 +814,11 @@ fn write_run(file: &PagedFile, start_page: u64, bytes: &[u8]) -> Result<()> {
 }
 
 fn read_run(file: &PagedFile, start_page: u64, len: usize) -> Result<Vec<u8>> {
+    // Lengths come from the header: bound them by the file before
+    // allocating, so a damaged header is an error, not a huge allocation.
+    if start_page.saturating_add(len.div_ceil(PAGE_SIZE) as u64) > file.num_pages() {
+        return Err(Error::Corrupt("DiskANN section runs past the file".into()));
+    }
     let mut out = Vec::with_capacity(len);
     for i in 0..len.div_ceil(PAGE_SIZE) {
         let page = file.read_page(PageId(start_page + i as u64))?;

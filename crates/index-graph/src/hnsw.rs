@@ -20,6 +20,7 @@ use vdb_core::parallel::{parallel_queue, BuildOptions};
 use vdb_core::rng::Rng;
 use vdb_core::topk::Neighbor;
 use vdb_core::vector::Vectors;
+use vdb_storage::codec::{self, Reader};
 
 /// Build-time configuration.
 #[derive(Debug, Clone)]
@@ -67,6 +68,18 @@ pub struct HnswIndex {
 
 /// Minimum tombstone count before a local re-prune pass fires.
 const REPAIR_MIN: usize = 32;
+
+/// Image ([`VectorIndex::image`]) magic, "HNSW" little-endian.
+const IMAGE_MAGIC: u32 = u32::from_le_bytes(*b"HNSW");
+/// Image format version. Layout, all little-endian:
+///
+/// ```text
+/// magic u32, version u32, rows u64, dim u32, layers u32
+/// per layer: offsets u32 × (rows + 1), then neighbours u32 × offsets[rows]
+/// levels u32 × rows, entry u64, removed_since_repair u64
+/// tombstone bitmap, ceil(rows / 8) bytes (bit i of byte i / 8 = row i)
+/// ```
+const IMAGE_VERSION: u32 = 1;
 
 /// Live-rows-only view for tombstone traversal: the filtered beam still
 /// *visits* deleted nodes (they route) but never admits them to the
@@ -187,6 +200,81 @@ impl HnswIndex {
         idx.deleted = vec![false; n];
         idx.vectors = vectors;
         idx.rng = level_rng;
+        Ok(idx)
+    }
+
+    /// Reload an index from its [`VectorIndex::image`] over the same
+    /// `vectors`, with no distance computations. The level generator is
+    /// re-derived by replaying one draw per row from `cfg.seed`, so the
+    /// stored levels are checked against it and later inserts draw
+    /// exactly what they would have drawn in the process that built the
+    /// graph. Any damage, version or shape mismatch is
+    /// [`Error::Corrupt`]; nothing is trusted without a bounds check.
+    pub fn from_image(
+        image: &[u8],
+        vectors: Vectors,
+        metric: Metric,
+        cfg: HnswConfig,
+    ) -> Result<Self> {
+        let corrupt = |what: &str| Error::Corrupt(format!("hnsw image {what}"));
+        let mut r = Reader::new(image);
+        if r.u32()? != IMAGE_MAGIC {
+            return Err(corrupt("has bad magic"));
+        }
+        let version = r.u32()?;
+        if version != IMAGE_VERSION {
+            return Err(corrupt(&format!("version {version} is not supported")));
+        }
+        let n = r.u64()? as usize;
+        let dim = r.u32()? as usize;
+        if n != vectors.len() || dim != vectors.dim() {
+            return Err(corrupt("does not describe these vectors"));
+        }
+        let n_layers = r.u32()? as usize;
+        if n_layers == 0 {
+            return Err(corrupt("has no layers"));
+        }
+        let mut idx = HnswIndex::new(dim, metric, cfg)?;
+        let mut layers = Vec::new();
+        for _ in 0..n_layers {
+            let offsets = r.u32s(n + 1)?;
+            if offsets[0] != 0 || offsets.windows(2).any(|w| w[0] > w[1]) {
+                return Err(corrupt("has unordered offsets"));
+            }
+            let flat = r.u32s(offsets[n] as usize)?;
+            if flat.iter().any(|&v| v as usize >= n) {
+                return Err(corrupt("has a neighbour out of range"));
+            }
+            let lists = offsets
+                .windows(2)
+                .map(|w| flat[w[0] as usize..w[1] as usize].to_vec())
+                .collect();
+            layers.push(AdjacencyList::from_lists(lists));
+        }
+        let levels = r.u32s(n)?;
+        let entry = r.u64()? as usize;
+        let removed_since_repair = r.u64()? as usize;
+        let bitmap = r.take(n.div_ceil(8))?;
+        if !r.is_empty() {
+            return Err(corrupt("has trailing bytes"));
+        }
+        if n > 0 && entry >= n {
+            return Err(corrupt("has its entry out of range"));
+        }
+        idx.levels = Vec::with_capacity(n);
+        for &level in &levels {
+            let level = level as usize;
+            if level >= n_layers || level != idx.rng.hnsw_level(idx.mult) {
+                return Err(corrupt("levels differ from the seeded draws"));
+            }
+            idx.levels.push(level);
+        }
+        idx.deleted = (0..n).map(|i| bitmap[i / 8] >> (i % 8) & 1 == 1).collect();
+        idx.removed = idx.deleted.iter().filter(|&&d| d).count();
+        idx.removed_since_repair = removed_since_repair;
+        idx.layers = layers;
+        idx.entry = entry;
+        idx.vectors = vectors;
         Ok(idx)
     }
 
@@ -464,6 +552,45 @@ impl VectorIndex for HnswIndex {
                 self.removed
             ),
         }
+    }
+
+    /// The graph as a versioned image (see [`IMAGE_VERSION`]);
+    /// [`HnswIndex::from_image`] reloads it. `None` only if a layer holds
+    /// more than `u32::MAX` edges.
+    fn image(&self) -> Option<Vec<u8>> {
+        let n = self.len();
+        let edges: usize = self.layers.iter().map(AdjacencyList::edge_count).sum();
+        let mut out =
+            Vec::with_capacity(32 + 4 * (self.layers.len() * (n + 1) + edges + n) + n / 8 + 1);
+        codec::put_u32(&mut out, IMAGE_MAGIC);
+        codec::put_u32(&mut out, IMAGE_VERSION);
+        codec::put_u64(&mut out, n as u64);
+        codec::put_u32(&mut out, self.dim() as u32);
+        codec::put_u32(&mut out, self.layers.len() as u32);
+        for layer in &self.layers {
+            let mut offset = 0u32;
+            codec::put_u32(&mut out, offset);
+            for u in 0..n {
+                offset = offset.checked_add(u32::try_from(layer.neighbors(u).len()).ok()?)?;
+                codec::put_u32(&mut out, offset);
+            }
+            for u in 0..n {
+                for &v in layer.neighbors(u) {
+                    codec::put_u32(&mut out, v);
+                }
+            }
+        }
+        for &level in &self.levels {
+            codec::put_u32(&mut out, level as u32);
+        }
+        codec::put_u64(&mut out, self.entry as u64);
+        codec::put_u64(&mut out, self.removed_since_repair as u64);
+        let mut bitmap = vec![0u8; n.div_ceil(8)];
+        for (i, _) in self.deleted.iter().enumerate().filter(|(_, &d)| d) {
+            bitmap[i / 8] |= 1 << (i % 8);
+        }
+        out.extend_from_slice(&bitmap);
+        Some(out)
     }
 
     fn as_mutable(&mut self) -> Option<&mut dyn MutableIndex> {
@@ -864,6 +991,117 @@ mod tests {
         for u in 0..a.len() {
             assert_eq!(a.layer(0).neighbors(u), b.layer(0).neighbors(u));
         }
+    }
+
+    fn reload(idx: &HnswIndex) -> HnswIndex {
+        HnswIndex::from_image(
+            &idx.image().expect("hnsw has an image"),
+            idx.vectors.clone(),
+            Metric::Euclidean,
+            HnswConfig::default(),
+        )
+        .unwrap()
+    }
+
+    fn answers(idx: &HnswIndex, queries: &Vectors) -> Vec<Vec<Neighbor>> {
+        let params = SearchParams::default().with_beam_width(16);
+        queries
+            .iter()
+            .map(|q| idx.search(q, 10, &params).unwrap())
+            .collect()
+    }
+
+    #[test]
+    fn image_reloads_the_same_graph() {
+        let (mut idx, queries, _) = setup(800);
+        for id in (0..800).step_by(7) {
+            MutableIndex::remove(&mut idx, id).unwrap();
+        }
+        let back = reload(&idx);
+        assert_eq!(back.image(), idx.image(), "re-encoding is byte-identical");
+        assert_eq!(back.entry, idx.entry);
+        assert_eq!(back.removed, idx.removed);
+        assert_eq!(back.deleted, idx.deleted);
+        let bits = |r: Vec<Vec<Neighbor>>| -> Vec<Vec<(usize, u32)>> {
+            r.into_iter()
+                .map(|hits| hits.iter().map(|h| (h.id, h.dist.to_bits())).collect())
+                .collect()
+        };
+        assert_eq!(
+            bits(answers(&back, &queries)),
+            bits(answers(&idx, &queries))
+        );
+    }
+
+    #[test]
+    fn inserts_after_reload_match_inserts_without_it() {
+        let mut rng = Rng::seed_from_u64(32);
+        let data = dataset::gaussian(600, 8, &mut rng);
+        let extra = dataset::gaussian(60, 8, &mut rng);
+        for opts in [BuildOptions::serial(), BuildOptions::with_threads(2)] {
+            let mut live = HnswIndex::build_with(
+                data.clone(),
+                Metric::Euclidean,
+                HnswConfig::default(),
+                &opts,
+            )
+            .unwrap();
+            let mut back = reload(&live);
+            for v in extra.iter() {
+                DynamicIndex::insert(&mut live, v).unwrap();
+                DynamicIndex::insert(&mut back, v).unwrap();
+            }
+            assert_eq!(back.levels, live.levels, "level generator re-derived");
+            assert_eq!(back.image(), live.image());
+        }
+    }
+
+    #[test]
+    fn damaged_images_are_rejected() {
+        let (idx, _, _) = setup(120);
+        let image = idx.image().unwrap();
+        let load = |bytes: &[u8], vectors: Vectors| {
+            HnswIndex::from_image(bytes, vectors, Metric::Euclidean, HnswConfig::default())
+        };
+        let corrupt = |r: Result<HnswIndex>| matches!(r, Err(Error::Corrupt(_)));
+        for cut in 0..image.len() {
+            assert!(
+                corrupt(load(&image[..cut], idx.vectors.clone())),
+                "cut {cut}"
+            );
+        }
+        let mut extra = image.clone();
+        extra.push(0);
+        assert!(corrupt(load(&extra, idx.vectors.clone())), "trailing byte");
+        let mut version = image.clone();
+        version[4] = 99;
+        assert!(
+            corrupt(load(&version, idx.vectors.clone())),
+            "unknown version"
+        );
+        // First neighbour of layer 0 sits after the header and offsets.
+        let first_edge = 24 + 4 * (idx.len() + 1);
+        let mut out_of_range = image.clone();
+        out_of_range[first_edge..first_edge + 4].copy_from_slice(&(idx.len() as u32).to_le_bytes());
+        assert!(
+            corrupt(load(&out_of_range, idx.vectors.clone())),
+            "neighbour id"
+        );
+        let mut fewer = Vectors::new(16);
+        for v in idx.vectors.iter().take(119) {
+            fewer.push(v).unwrap();
+        }
+        assert!(corrupt(load(&image, fewer)), "row count");
+        let other_seed = HnswConfig {
+            seed: 7,
+            ..HnswConfig::default()
+        };
+        assert!(corrupt(HnswIndex::from_image(
+            &image,
+            idx.vectors.clone(),
+            Metric::Euclidean,
+            other_seed
+        )));
     }
 
     #[test]

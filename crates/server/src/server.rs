@@ -1316,8 +1316,9 @@ fn execute(shared: &Shared, request: &Request) -> Response {
                 if db.collection(collection).is_err() {
                     // First contact: create the collection from the
                     // shipped schema. Replicas index with Flat — exact,
-                    // always valid, and rebuilt from the snapshot anyway;
-                    // an existing collection keeps its own index choice.
+                    // always valid, and built from the snapshot rows (a
+                    // primary's index image loads only under the same
+                    // spec); an existing collection keeps its own index.
                     let mut schema = CollectionSchema::new(
                         collection.clone(),
                         state.dim as usize,

@@ -1,5 +1,6 @@
-//! Shared little-endian (de)serialization helpers for the WAL and the
-//! snapshot format: primitives, strings, and [`AttrValue`]s.
+//! Shared little-endian (de)serialization helpers for the WAL, the
+//! snapshot format, and the index images stored inside snapshots:
+//! primitives, strings, and [`AttrValue`]s.
 
 use vdb_core::attr::{AttrType, AttrValue};
 use vdb_core::error::{Error, Result};
@@ -10,11 +11,13 @@ const ATTR_FLOAT: u8 = 2;
 const ATTR_STR: u8 = 3;
 const ATTR_BOOL: u8 = 4;
 
-pub(crate) fn put_u32(out: &mut Vec<u8>, v: u32) {
+/// Append `v` little-endian.
+pub fn put_u32(out: &mut Vec<u8>, v: u32) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
-pub(crate) fn put_u64(out: &mut Vec<u8>, v: u64) {
+/// Append `v` little-endian.
+pub fn put_u64(out: &mut Vec<u8>, v: u64) {
     out.extend_from_slice(&v.to_le_bytes());
 }
 
@@ -66,21 +69,24 @@ pub(crate) fn attr_type_from_tag(tag: u8) -> Result<AttrType> {
 
 /// A bounds-checked little-endian reader over a byte slice; every decode
 /// error maps to [`Error::Corrupt`].
-pub(crate) struct Reader<'a> {
+pub struct Reader<'a> {
     buf: &'a [u8],
     pos: usize,
 }
 
 impl<'a> Reader<'a> {
-    pub(crate) fn new(buf: &'a [u8]) -> Self {
+    /// Read `buf` from its start.
+    pub fn new(buf: &'a [u8]) -> Self {
         Reader { buf, pos: 0 }
     }
 
-    pub(crate) fn is_empty(&self) -> bool {
+    /// Whether every byte has been consumed.
+    pub fn is_empty(&self) -> bool {
         self.pos >= self.buf.len()
     }
 
-    pub(crate) fn take(&mut self, n: usize) -> Result<&'a [u8]> {
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'a [u8]> {
         let end = self
             .pos
             .checked_add(n)
@@ -91,15 +97,18 @@ impl<'a> Reader<'a> {
         Ok(out)
     }
 
-    pub(crate) fn u8(&mut self) -> Result<u8> {
+    /// The next byte.
+    pub fn u8(&mut self) -> Result<u8> {
         Ok(self.take(1)?[0])
     }
 
-    pub(crate) fn u32(&mut self) -> Result<u32> {
+    /// The next little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32> {
         Ok(u32::from_le_bytes(self.take(4)?.try_into().expect("4")))
     }
 
-    pub(crate) fn u64(&mut self) -> Result<u64> {
+    /// The next little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64> {
         Ok(u64::from_le_bytes(self.take(8)?.try_into().expect("8")))
     }
 
@@ -109,6 +118,18 @@ impl<'a> Reader<'a> {
 
     pub(crate) fn f64(&mut self) -> Result<f64> {
         Ok(f64::from_le_bytes(self.take(8)?.try_into().expect("8")))
+    }
+
+    /// The next `n` little-endian `u32`s.
+    pub fn u32s(&mut self, n: usize) -> Result<Vec<u32>> {
+        let bytes = self.take(
+            n.checked_mul(4)
+                .ok_or_else(|| Error::Corrupt("array length overflow".into()))?,
+        )?;
+        Ok(bytes
+            .chunks_exact(4)
+            .map(|c| u32::from_le_bytes(c.try_into().expect("4")))
+            .collect())
     }
 
     pub(crate) fn f32s(&mut self, n: usize) -> Result<Vec<f32>> {

@@ -158,13 +158,27 @@ pub fn hit(site: &'static str) -> Result<()> {
 /// crash error is returned, exactly like a process dying mid-`write`.
 /// After the crash (dead), nothing is written at all.
 pub fn write_all_torn(file: &mut File, buf: &[u8], site: &'static str) -> Result<()> {
+    write_parts_torn(file, &[buf], site)
+}
+
+/// [`write_all_torn`] for one logical buffer held as consecutive parts
+/// (a frame header and its payload), written without concatenating
+/// them: one crash point, and a firing tears at half the total length.
+pub fn write_parts_torn(file: &mut File, parts: &[&[u8]], site: &'static str) -> Result<()> {
     match check() {
         Outcome::Proceed => {
-            file.write_all(buf)?;
+            for part in parts {
+                file.write_all(part)?;
+            }
             Ok(())
         }
         Outcome::Fired => {
-            let _ = file.write_all(&buf[..buf.len() / 2]);
+            let mut left = parts.iter().map(|p| p.len()).sum::<usize>() / 2;
+            for part in parts {
+                let n = left.min(part.len());
+                let _ = file.write_all(&part[..n]);
+                left -= n;
+            }
             Err(crash_error(site))
         }
         Outcome::Dead => Err(crash_error(site)),

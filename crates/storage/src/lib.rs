@@ -29,7 +29,7 @@
 #![allow(clippy::manual_checked_ops)] // branch selects record layout, not a guard
 
 pub mod cache;
-mod codec;
+pub mod codec;
 pub mod column;
 pub mod failpoint;
 pub mod file;
@@ -46,6 +46,6 @@ pub use file::{PagedFile, TempDir};
 pub use lsm::{KeyedNeighbor, LsmConfig, LsmStore};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use prefetch::{IoBackend, PrefetchPool};
-pub use snapshot::{Snapshot, SnapshotColumn};
+pub use snapshot::{Checkpoint, Snapshot, SnapshotColumn};
 pub use vector_store::DiskVectorStore;
 pub use wal::{crc32, decode_shipped, ship_record, ShippedRecord, Wal, WalRecord};

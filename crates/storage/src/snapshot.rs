@@ -1,10 +1,11 @@
 //! Checkpointed collection snapshots: the durable merged state.
 //!
 //! A snapshot captures everything the merge step folded into the main
-//! part of a collection — row keys, vectors, attribute columns, and a
-//! fingerprint of the index spec that was built over them — so recovery
-//! becomes *snapshot load + WAL-tail replay* instead of a full-history
-//! WAL replay, and the WAL can be truncated after every merge.
+//! part of a collection — row keys, vectors, attribute columns, the
+//! fingerprint of the index spec that was built over them, and
+//! optionally that index itself — so recovery becomes *snapshot load +
+//! WAL-tail replay* instead of a full-history WAL replay, and the WAL can
+//! be truncated after every merge.
 //!
 //! ## On-disk format
 //!
@@ -15,8 +16,15 @@
 //!   2 KEYS    row keys (u64 × rows)
 //!   3 VECTORS row-major f32 × rows × dim
 //!   4 COLUMN  name, type, values (one section per column)
+//!   6 TEXT    serialized inverted index (optional)
+//!   7 INDEX   serialized vector index over exactly these rows (optional)
 //!   5 END     empty terminator
 //! ```
+//!
+//! TEXT and INDEX are opaque to this layer: their owners version their
+//! own payloads, and a reader that cannot use one rebuilds that index
+//! from the rows. A snapshot without them is byte-identical to the
+//! format that predates them, so every older `.snap` still loads.
 //!
 //! Sections reuse the WAL's [`crc32`] framing. A snapshot is only ever
 //! observed complete: [`write`] builds `<name>.tmp` in the same
@@ -53,6 +61,11 @@ const SEC_END: u8 = 5;
 /// the text subsystem owns its own versioned format, and a reader that
 /// cannot use the bytes rebuilds the index from the source column.
 const SEC_TEXT: u8 = 6;
+/// Serialized vector index whose row `i` is snapshot row `i` (optional;
+/// absent in snapshots from before index images existed and for index
+/// families without an image). Opaque like TEXT: the index family owns
+/// the versioned payload, and a reader that cannot use it rebuilds.
+const SEC_INDEX: u8 = 7;
 
 /// One attribute column of a snapshot, aligned with the row keys.
 #[derive(Debug, Clone, PartialEq)]
@@ -68,9 +81,9 @@ pub struct SnapshotColumn {
 /// A collection's merged state at checkpoint time.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Snapshot {
-    /// Fingerprint of the index spec the main index was built with
-    /// (diagnostics: recovery rebuilds from vectors, so a changed spec
-    /// is honored rather than rejected).
+    /// Fingerprint of the index spec the main index was built with. A
+    /// stored index image is only loaded by a collection whose spec has
+    /// the same fingerprint; any other spec rebuilds from the vectors.
     pub fingerprint: String,
     /// External key of each row, aligned with `vectors`.
     pub row_keys: Vec<u64>,
@@ -91,17 +104,41 @@ impl Snapshot {
     }
 }
 
-fn section_frame(tag: u8, payload: &[u8]) -> Vec<u8> {
-    let mut frame = Vec::with_capacity(9 + payload.len());
-    frame.push(tag);
-    codec::put_u32(&mut frame, payload.len() as u32);
-    codec::put_u32(&mut frame, crc32(payload));
-    frame.extend_from_slice(payload);
-    frame
+/// A whole checkpoint file: the [`Snapshot`] plus, optionally, the image
+/// of the vector index built over exactly its rows (section INDEX).
+#[derive(Debug, Clone, PartialEq)]
+pub struct Checkpoint {
+    /// The merged state.
+    pub snapshot: Snapshot,
+    /// Opaque index image (`VectorIndex::image`); `None` writes a
+    /// snapshot byte-identical to one without the section.
+    pub index: Option<Vec<u8>>,
+}
+
+impl From<Snapshot> for Checkpoint {
+    fn from(snapshot: Snapshot) -> Self {
+        Checkpoint {
+            snapshot,
+            index: None,
+        }
+    }
+}
+
+fn section_head(tag: u8, payload: &[u8]) -> [u8; 9] {
+    let mut head = [0u8; 9];
+    head[0] = tag;
+    head[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
+    head[5..9].copy_from_slice(&crc32(payload).to_le_bytes());
+    head
+}
+
+fn put_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
+    out.extend_from_slice(&section_head(tag, payload));
+    out.extend_from_slice(payload);
 }
 
 fn write_section(file: &mut File, tag: u8, payload: &[u8], site: &'static str) -> Result<()> {
-    failpoint::write_all_torn(file, &section_frame(tag, payload), site)
+    failpoint::write_parts_torn(file, &[&section_head(tag, payload), payload], site)
 }
 
 fn meta_payload(snap: &Snapshot) -> Vec<u8> {
@@ -160,30 +197,44 @@ fn validate(snap: &Snapshot) -> Result<()> {
     Ok(())
 }
 
-/// Serialize a snapshot to bytes in the on-disk format (magic included),
-/// for shipping over the wire during replica bootstrap. The bytes are
-/// exactly what [`write`] would put on disk, so [`decode`] and [`read`]
-/// verify the same magic, section CRCs, and END terminator.
-pub fn encode(snap: &Snapshot) -> Result<Vec<u8>> {
+/// Serialize a checkpoint to bytes in the on-disk format (magic
+/// included), for shipping over the wire during replica bootstrap. The
+/// bytes are exactly what [`write_checkpoint`] would put on disk, so
+/// [`decode`] and [`read`] verify the same magic, section CRCs, and END
+/// terminator.
+pub fn encode(ckpt: &Checkpoint) -> Result<Vec<u8>> {
+    let snap = &ckpt.snapshot;
     validate(snap)?;
     let mut out = Vec::new();
     out.extend_from_slice(MAGIC);
-    out.extend_from_slice(&section_frame(SEC_META, &meta_payload(snap)));
-    out.extend_from_slice(&section_frame(SEC_KEYS, &keys_payload(snap)));
-    out.extend_from_slice(&section_frame(SEC_VECTORS, &vectors_payload(snap)));
+    put_section(&mut out, SEC_META, &meta_payload(snap));
+    put_section(&mut out, SEC_KEYS, &keys_payload(snap));
+    put_section(&mut out, SEC_VECTORS, &vectors_payload(snap));
     for col in &snap.columns {
-        out.extend_from_slice(&section_frame(SEC_COLUMN, &column_payload(col)));
+        put_section(&mut out, SEC_COLUMN, &column_payload(col));
     }
     if let Some(text) = &snap.text {
-        out.extend_from_slice(&section_frame(SEC_TEXT, text));
+        put_section(&mut out, SEC_TEXT, text);
     }
-    out.extend_from_slice(&section_frame(SEC_END, &[]));
+    if let Some(index) = &ckpt.index {
+        put_section(&mut out, SEC_INDEX, index);
+    }
+    put_section(&mut out, SEC_END, &[]);
     Ok(out)
 }
 
-/// Atomically replace the snapshot at `path` with `snap`:
-/// write-to-temp, fsync, rename, fsync-directory.
+/// Atomically replace the snapshot at `path` with `snap` and no index
+/// image: write-to-temp, fsync, rename, fsync-directory.
 pub fn write(path: &Path, snap: &Snapshot) -> Result<()> {
+    write_sections(path, snap, None)
+}
+
+/// [`write`] for a whole checkpoint, index image included.
+pub fn write_checkpoint(path: &Path, ckpt: &Checkpoint) -> Result<()> {
+    write_sections(path, &ckpt.snapshot, ckpt.index.as_deref())
+}
+
+fn write_sections(path: &Path, snap: &Snapshot, index: Option<&[u8]>) -> Result<()> {
     validate(snap)?;
     let file_name = path
         .file_name()
@@ -198,10 +249,8 @@ pub fn write(path: &Path, snap: &Snapshot) -> Result<()> {
         .open(&tmp)?;
 
     // META (with the magic prepended so the first write stamps the file).
-    let meta = meta_payload(snap);
-    let mut head = Vec::with_capacity(8 + 9 + meta.len());
-    head.extend_from_slice(MAGIC);
-    head.extend_from_slice(&section_frame(SEC_META, &meta));
+    let mut head = MAGIC.to_vec();
+    put_section(&mut head, SEC_META, &meta_payload(snap));
     failpoint::write_all_torn(&mut file, &head, "snapshot.meta")?;
 
     // KEYS.
@@ -230,6 +279,11 @@ pub fn write(path: &Path, snap: &Snapshot) -> Result<()> {
         write_section(&mut file, SEC_TEXT, text, "snapshot.text")?;
     }
 
+    // INDEX (only when the index family produced an image).
+    if let Some(index) = index {
+        write_section(&mut file, SEC_INDEX, index, "snapshot.index")?;
+    }
+
     // END terminator, then make it durable and visible.
     write_section(&mut file, SEC_END, &[], "snapshot.end")?;
     failpoint::hit("snapshot.sync")?;
@@ -244,10 +298,10 @@ pub fn write(path: &Path, snap: &Snapshot) -> Result<()> {
     Ok(())
 }
 
-/// Load the snapshot at `path`. Returns `Ok(None)` if no snapshot file
+/// Load the checkpoint at `path`. Returns `Ok(None)` if no snapshot file
 /// exists (a collection that never checkpointed); any structural damage
 /// to an existing file is [`Error::Corrupt`].
-pub fn read(path: &Path) -> Result<Option<Snapshot>> {
+pub fn read(path: &Path) -> Result<Option<Checkpoint>> {
     let bytes = match std::fs::read(path) {
         Ok(b) => b,
         Err(e) if e.kind() == std::io::ErrorKind::NotFound => return Ok(None),
@@ -256,10 +310,10 @@ pub fn read(path: &Path) -> Result<Option<Snapshot>> {
     decode(&bytes).map(Some)
 }
 
-/// Parse snapshot bytes produced by [`encode`] (or read back from a file
-/// [`write`] produced). Verifies magic, every section CRC, and the END
-/// terminator — identical guarantees to [`read`].
-pub fn decode(bytes: &[u8]) -> Result<Snapshot> {
+/// Parse checkpoint bytes produced by [`encode`] (or read back from a
+/// file [`write_checkpoint`] produced). Verifies magic, every section
+/// CRC, and the END terminator — identical guarantees to [`read`].
+pub fn decode(bytes: &[u8]) -> Result<Checkpoint> {
     let corrupt = |what: &str| Error::Corrupt(format!("snapshot {what}"));
     if bytes.len() < MAGIC.len() || &bytes[..MAGIC.len()] != MAGIC {
         return Err(corrupt("has bad magic"));
@@ -274,6 +328,7 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot> {
     let mut vectors: Option<Vectors> = None;
     let mut columns: Vec<SnapshotColumn> = Vec::new();
     let mut text: Option<Vec<u8>> = None;
+    let mut index: Option<Vec<u8>> = None;
     let mut ended = false;
 
     while !r.is_empty() {
@@ -324,6 +379,9 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot> {
             SEC_TEXT => {
                 text = Some(payload.to_vec());
             }
+            SEC_INDEX => {
+                index = Some(payload.to_vec());
+            }
             SEC_END => {
                 ended = true;
                 break;
@@ -340,12 +398,15 @@ pub fn decode(bytes: &[u8]) -> Result<Snapshot> {
     if columns.len() != ncols {
         return Err(corrupt("column count does not match META"));
     }
-    Ok(Snapshot {
-        fingerprint,
-        row_keys,
-        vectors,
-        columns,
-        text,
+    Ok(Checkpoint {
+        snapshot: Snapshot {
+            fingerprint,
+            row_keys,
+            vectors,
+            columns,
+            text,
+        },
+        index,
     })
 }
 
@@ -390,14 +451,28 @@ mod tests {
         }
     }
 
+    fn with_image(rows: usize) -> Checkpoint {
+        let mut snapshot = sample(rows);
+        snapshot.text = Some(vec![0x11, 0x22, 0x33]);
+        Checkpoint {
+            snapshot,
+            index: Some((0..200u32).map(|b| (b * 7) as u8).collect()),
+        }
+    }
+
+    fn load(path: &Path) -> Checkpoint {
+        read(path).unwrap().expect("snapshot exists")
+    }
+
     #[test]
     fn roundtrip() {
         let dir = TempDir::new("snap-rt").unwrap();
         let path = dir.file("c.snap");
         let snap = sample(17);
         write(&path, &snap).unwrap();
-        let back = read(&path).unwrap().expect("snapshot exists");
-        assert_eq!(back, snap);
+        let back = load(&path);
+        assert_eq!(back.snapshot, snap);
+        assert!(back.index.is_none());
     }
 
     #[test]
@@ -407,7 +482,7 @@ mod tests {
         let mut snap = sample(0);
         snap.columns.clear();
         write(&path, &snap).unwrap();
-        let back = read(&path).unwrap().unwrap();
+        let back = load(&path).snapshot;
         assert_eq!(back.rows(), 0);
         assert!(back.columns.is_empty());
     }
@@ -416,12 +491,13 @@ mod tests {
     fn encode_matches_on_disk_bytes_and_decodes() {
         let dir = TempDir::new("snap-enc").unwrap();
         let path = dir.file("c.snap");
-        let snap = sample(11);
-        write(&path, &snap).unwrap();
-        let disk = std::fs::read(&path).unwrap();
-        let wire = encode(&snap).unwrap();
-        assert_eq!(wire, disk, "wire encoding is byte-identical to disk");
-        assert_eq!(decode(&wire).unwrap(), snap);
+        for ckpt in [Checkpoint::from(sample(11)), with_image(11)] {
+            write_checkpoint(&path, &ckpt).unwrap();
+            let disk = std::fs::read(&path).unwrap();
+            let wire = encode(&ckpt).unwrap();
+            assert_eq!(wire, disk, "wire encoding is byte-identical to disk");
+            assert_eq!(decode(&wire).unwrap(), ckpt);
+        }
     }
 
     #[test]
@@ -431,18 +507,42 @@ mod tests {
         let mut snap = sample(5);
         snap.text = Some(vec![0xDE, 0xAD, 0xBE, 0xEF, 0x00, 0x7F]);
         write(&path, &snap).unwrap();
-        let back = read(&path).unwrap().unwrap();
+        let back = load(&path).snapshot;
         assert_eq!(back, snap);
         assert_eq!(back.text.as_deref(), Some(&snap.text.clone().unwrap()[..]));
         // A text-less snapshot stays byte-identical to the legacy format:
         // the section is simply absent, so old readers keep working.
         let legacy = sample(5);
-        let with = encode(&snap).unwrap();
-        let without = encode(&legacy).unwrap();
+        let with = encode(&snap.clone().into()).unwrap();
+        let without = encode(&legacy.clone().into()).unwrap();
         assert!(with.len() > without.len());
-        assert!(read(&path).unwrap().unwrap().text.is_some());
+        assert!(load(&path).snapshot.text.is_some());
         write(&path, &legacy).unwrap();
-        assert!(read(&path).unwrap().unwrap().text.is_none());
+        assert!(load(&path).snapshot.text.is_none());
+    }
+
+    #[test]
+    fn index_section_roundtrips_and_stays_optional() {
+        let dir = TempDir::new("snap-index").unwrap();
+        let path = dir.file("c.snap");
+        let ckpt = with_image(7);
+        write_checkpoint(&path, &ckpt).unwrap();
+        assert_eq!(load(&path), ckpt);
+        // Without an image the bytes are exactly the image-less format:
+        // the INDEX section is the only difference, placed before END.
+        let bare = Checkpoint::from(ckpt.snapshot.clone());
+        let with = encode(&ckpt).unwrap();
+        let without = encode(&bare).unwrap();
+        let image_len = ckpt.index.as_ref().unwrap().len();
+        assert_eq!(with.len(), without.len() + 9 + image_len);
+        let end_frame = without.len() - 9;
+        assert_eq!(with[..end_frame], without[..end_frame]);
+        assert_eq!(with[end_frame], SEC_INDEX);
+        assert_eq!(with[with.len() - 9..], without[end_frame..]);
+        assert_eq!(decode(&without).unwrap(), bare);
+        write(&path, &bare.snapshot).unwrap();
+        assert_eq!(std::fs::read(&path).unwrap(), without);
+        assert!(load(&path).index.is_none());
     }
 
     #[test]
@@ -457,7 +557,7 @@ mod tests {
         let path = dir.file("c.snap");
         write(&path, &sample(5)).unwrap();
         write(&path, &sample(9)).unwrap();
-        assert_eq!(read(&path).unwrap().unwrap().rows(), 9);
+        assert_eq!(load(&path).snapshot.rows(), 9);
         assert!(!path.with_file_name("c.snap.tmp").exists());
     }
 
@@ -465,41 +565,54 @@ mod tests {
     fn truncation_and_bitflips_detected() {
         let dir = TempDir::new("snap-corrupt").unwrap();
         let path = dir.file("c.snap");
-        write(&path, &sample(6)).unwrap();
-        let bytes = std::fs::read(&path).unwrap();
-        // Truncations anywhere are Corrupt (never a panic, never Ok).
-        for cut in 0..bytes.len() {
-            std::fs::write(&path, &bytes[..cut]).unwrap();
-            assert!(
-                matches!(read(&path), Err(Error::Corrupt(_))),
-                "cut at {cut} must be corrupt"
-            );
+        // Both the legacy layout and one carrying TEXT + INDEX sections.
+        for ckpt in [Checkpoint::from(sample(6)), with_image(6)] {
+            write_checkpoint(&path, &ckpt).unwrap();
+            let bytes = std::fs::read(&path).unwrap();
+            // Truncations anywhere are Corrupt (never a panic, never Ok).
+            for cut in 0..bytes.len() {
+                std::fs::write(&path, &bytes[..cut]).unwrap();
+                assert!(
+                    matches!(read(&path), Err(Error::Corrupt(_))),
+                    "cut at {cut} must be corrupt"
+                );
+            }
+            // A flipped payload byte fails its section CRC.
+            let mut flipped = bytes.clone();
+            let mid = flipped.len() / 2;
+            flipped[mid] ^= 0x40;
+            std::fs::write(&path, &flipped).unwrap();
+            assert!(read(&path).is_err());
+            // So does one inside the index image (the last payload).
+            let mut flipped = bytes.clone();
+            let at = flipped.len() - 9 - 3;
+            flipped[at] ^= 0x01;
+            std::fs::write(&path, &flipped).unwrap();
+            assert!(read(&path).is_err());
         }
-        // A flipped payload byte fails its section CRC.
-        let mut flipped = bytes.clone();
-        let mid = flipped.len() / 2;
-        flipped[mid] ^= 0x40;
-        std::fs::write(&path, &flipped).unwrap();
-        assert!(read(&path).is_err());
     }
 
     #[test]
     fn crash_during_write_preserves_old_snapshot() {
         let dir = TempDir::new("snap-crash").unwrap();
         let path = dir.file("c.snap");
-        let old = sample(4);
-        let new = sample(8);
-        let (res, points) =
-            crate::failpoint::count_crash_points(|| write(&dir.file("scratch.snap"), &new));
+        let old = with_image(4);
+        let new = with_image(8);
+        let (res, points) = crate::failpoint::count_crash_points(|| {
+            write_checkpoint(&dir.file("scratch.snap"), &new)
+        });
         res.unwrap();
-        assert!(points >= 9, "meta+keys+vectors+2 cols+end+sync+rename+dir");
+        assert!(
+            points >= 11,
+            "meta+keys+vectors+2 cols+text+index+end+sync+rename+dir"
+        );
         for n in 1..=points {
-            write(&path, &old).unwrap();
+            write_checkpoint(&path, &old).unwrap();
             crate::failpoint::arm(n);
-            let err = write(&path, &new).unwrap_err();
+            let err = write_checkpoint(&path, &new).unwrap_err();
             assert!(crate::failpoint::is_crash(&err));
             crate::failpoint::disarm();
-            let back = read(&path).unwrap().unwrap();
+            let back = load(&path);
             assert!(
                 back == old || back == new,
                 "crash point {n} left a mixed snapshot"

@@ -52,18 +52,9 @@ const TAG_DELETE: u8 = 2;
 /// Current insert: vector + attribute list.
 const TAG_INSERT_V2: u8 = 3;
 
-/// CRC-32 (IEEE 802.3, reflected) over a byte slice.
-pub fn crc32(data: &[u8]) -> u32 {
-    let mut crc: u32 = 0xFFFF_FFFF;
-    for &b in data {
-        crc ^= b as u32;
-        for _ in 0..8 {
-            let mask = (crc & 1).wrapping_neg();
-            crc = (crc >> 1) ^ (0xEDB8_8320 & mask);
-        }
-    }
-    !crc
-}
+/// The workspace CRC-32, re-exported so `vdb_storage::crc32` keeps
+/// naming the checksum every WAL frame and snapshot section carries.
+pub use vdb_core::crc32;
 
 /// An append-only write-ahead log.
 #[derive(Debug)]

@@ -31,6 +31,9 @@
 //! (records buffered during the rebuild survive as the new tail). Replay
 //! over a snapshot is idempotent (inserts overwrite, deletes tombstone),
 //! so every crash point in the protocol recovers to a consistent state.
+//! The snapshot carries the image of the index it describes
+//! ([`VectorIndex::image`]) when the family has one, so recovery loads
+//! the served graph instead of rebuilding it.
 
 use crate::indexspec::IndexSpec;
 use crate::schema::CollectionSchema;
@@ -54,8 +57,8 @@ use vdb_query::{
     Strategy, TextIndex, VectorQuery, DEFAULT_STOPWORDS,
 };
 use vdb_storage::{
-    decode_shipped, ship_record, snapshot, AttributeStore, Column, LsmConfig, LsmStore, Snapshot,
-    SnapshotColumn, Wal, WalRecord,
+    decode_shipped, ship_record, snapshot, AttributeStore, Checkpoint, Column, LsmConfig, LsmStore,
+    Snapshot, SnapshotColumn, Wal, WalRecord,
 };
 
 /// Primary-side replication hook: called under the write lock with each
@@ -230,6 +233,10 @@ pub struct CollectionStats {
     pub last_swap_micros: u64,
     /// Background merges that failed (left for the next nudge/retry).
     pub failed_merges: usize,
+    /// Whether the published index was loaded from a snapshot's index
+    /// image rather than built (true after a recovery or replica install
+    /// that took the image path, until the next rebuild).
+    pub index_from_image: bool,
 }
 
 /// The published (indexed) part: an immutable-by-readers snapshot that
@@ -245,6 +252,8 @@ struct Main {
     /// full rebuild.
     dead_rows: usize,
     index: Option<Box<dyn VectorIndex>>,
+    /// `index` was loaded from a snapshot image, not built.
+    index_from_image: bool,
     /// BM25 inverted index over the schema's text column, doc ids
     /// aligned with row indices (Some iff the schema registers one).
     /// Retired rows keep stale postings until the next rebuild; readers
@@ -347,6 +356,7 @@ impl Collection {
             key_to_row: HashMap::new(),
             dead_rows: 0,
             index: None,
+            index_from_image: false,
             text: schema
                 .text_column
                 .as_ref()
@@ -408,13 +418,13 @@ impl Collection {
         let snap_path = dir.join(format!("{}.snap", schema.name));
         std::fs::create_dir_all(&dir)?;
         let records = Wal::replay(&wal_path)?;
-        let snap = snapshot::read(&snap_path)?;
+        let ckpt = snapshot::read(&snap_path)?;
         // Replay without a WAL handle (no re-logging, no checkpointing —
         // the WAL tail must survive until the next live checkpoint) and
         // without the worker (replay merges run inline).
         let mut c = Collection::offline(schema, cfg)?;
-        if let Some(snap) = snap {
-            c.install_snapshot(snap)?;
+        if let Some(ckpt) = ckpt {
+            c.install_snapshot(ckpt)?;
         }
         for rec in records {
             match rec {
@@ -432,10 +442,17 @@ impl Collection {
     }
 
     /// Install a checkpoint snapshot as the main (indexed) part. The
-    /// snapshot must match the schema exactly; the index is rebuilt from
-    /// the snapshot vectors (the recorded fingerprint is diagnostic — a
-    /// changed index spec is honored, not rejected).
-    fn install_snapshot(&mut self, snap: Snapshot) -> Result<()> {
+    /// snapshot must match the schema exactly. The index is loaded from
+    /// the checkpoint's image when one was written by this collection's
+    /// index spec (same fingerprint) over exactly these rows and it
+    /// decodes and validates; otherwise — legacy snapshot, changed spec,
+    /// family without an image, damaged image — it is rebuilt from the
+    /// snapshot vectors, so a changed spec is honored, not rejected.
+    fn install_snapshot(&mut self, ckpt: Checkpoint) -> Result<()> {
+        let Checkpoint {
+            snapshot: snap,
+            index: image,
+        } = ckpt;
         let schema = &self.inner.schema;
         if snap.vectors.dim() != schema.dim {
             return Err(Error::Corrupt(format!(
@@ -455,18 +472,14 @@ impl Collection {
             ));
         }
         let mut attrs = AttributeStore::new();
-        for (col, (name, ty)) in snap.columns.iter().zip(&schema.columns) {
+        for (col, (name, ty)) in snap.columns.into_iter().zip(&schema.columns) {
             if col.name != *name || col.ty != *ty {
                 return Err(Error::Corrupt(format!(
                     "snapshot column `{}` does not match schema column `{name}`",
                     col.name
                 )));
             }
-            attrs.add_column(Column::from_values(
-                col.name.clone(),
-                col.ty,
-                col.values.clone(),
-            )?)?;
+            attrs.add_column(Column::from_values(col.name, col.ty, col.values)?)?;
         }
         let mut key_to_row = HashMap::with_capacity(snap.row_keys.len());
         for (row, &key) in snap.row_keys.iter().enumerate() {
@@ -474,14 +487,23 @@ impl Collection {
                 return Err(Error::Corrupt(format!("duplicate key {key} in snapshot")));
             }
         }
-        let index = if snap.vectors.is_empty() {
-            None
-        } else {
-            Some(self.inner.cfg.index.build_with(
+        let spec = &self.inner.cfg.index;
+        let loaded = image
+            .filter(|_| !snap.vectors.is_empty() && snap.fingerprint == spec.fingerprint())
+            .and_then(|bytes| {
+                spec.load(&bytes, &snap.vectors, schema.metric.clone())
+                    .ok()
+                    .flatten()
+            });
+        let index_from_image = loaded.is_some();
+        let index = match loaded {
+            Some(index) => Some(index),
+            None if snap.vectors.is_empty() => None,
+            None => Some(spec.build_with(
                 snap.vectors.clone(),
                 schema.metric.clone(),
                 &self.inner.cfg.build,
-            )?)
+            )?),
         };
         // Prefer the snapshot's serialized inverted index; fall back to a
         // rebuild from the text column for legacy images, damaged/alien
@@ -507,6 +529,7 @@ impl Collection {
             key_to_row,
             dead_rows: 0,
             index,
+            index_from_image,
             text,
         });
         self.inner.pending.lock().shadowed = 0;
@@ -559,6 +582,7 @@ impl Collection {
             rebuilds_in_flight: stats.rebuilds_in_flight.load(Ordering::Relaxed),
             last_swap_micros: stats.last_swap_micros.load(Ordering::Relaxed),
             failed_merges: stats.failed_merges.load(Ordering::Relaxed),
+            index_from_image: m.index_from_image,
         }
     }
 
@@ -863,8 +887,7 @@ impl Collection {
         let _gate = self.inner.merge_gate.lock();
         let p = self.inner.pending.lock();
         let m = self.inner.main.read();
-        let snap = self.inner.snapshot_of_main(&m)?;
-        let snap_bytes = snapshot::encode(&snap)?;
+        let snap_bytes = snapshot::encode(&self.inner.snapshot_of_main(&m)?)?;
         let tail = wal_tail_of(&p.buffer, &p.buffer_attrs);
         let mut tail_stream = Vec::new();
         for (i, rec) in tail.iter().enumerate() {
@@ -886,13 +909,13 @@ impl Collection {
         snapshot_bytes: &[u8],
         tail_stream: &[u8],
     ) -> Result<()> {
-        let snap = snapshot::decode(snapshot_bytes)?;
+        let ckpt = snapshot::decode(snapshot_bytes)?;
         let tail: Vec<WalRecord> = decode_shipped(tail_stream)?
             .into_iter()
             .map(|s| s.record)
             .collect();
-        let disk_snap = snap.clone();
-        self.install_snapshot(snap)?;
+        let disk_ckpt = ckpt.clone();
+        self.install_snapshot(ckpt)?;
         // Reset the write side and detach WAL + sink for the tail replay
         // (the replay must neither re-log records the WAL rewrite below
         // will install wholesale, nor ship them back out).
@@ -936,7 +959,7 @@ impl Collection {
                     .inner
                     .snapshot_path()
                     .expect("durable collection has a wal_dir");
-                snapshot::write(&path, &disk_snap)?;
+                snapshot::write_checkpoint(&path, &disk_ckpt)?;
                 p.wal.as_mut().expect("checked above").rewrite(&tail)?;
             }
             p.lsn = lsn;
@@ -1581,17 +1604,22 @@ impl Inner {
                     })
                 })
                 .collect::<Result<Vec<_>>>()?;
-            let snap = Snapshot {
-                fingerprint: self.cfg.index.fingerprint(),
-                row_keys: new_keys.clone(),
-                vectors: new_vectors.clone(),
-                columns,
-                text: new_text.as_ref().map(|t| t.encode()),
+            // The snapshot rows are exactly the fresh index's rows, so its
+            // image rides along and recovery need not rebuild.
+            let ckpt = Checkpoint {
+                snapshot: Snapshot {
+                    fingerprint: self.cfg.index.fingerprint(),
+                    row_keys: new_keys.clone(),
+                    vectors: new_vectors.clone(),
+                    columns,
+                    text: new_text.as_ref().map(|t| t.encode()),
+                },
+                index: index.as_ref().and_then(|i| i.image()),
             };
             let path = self
                 .snapshot_path()
                 .expect("durable collection has a wal_dir");
-            snapshot::write(&path, &snap)?;
+            snapshot::write_checkpoint(&path, &ckpt)?;
         }
 
         // 6. Atomic publication + retirement of the merged prefix, all
@@ -1607,6 +1635,7 @@ impl Inner {
                 key_to_row: new_map,
                 dead_rows: 0,
                 index,
+                index_from_image: false,
                 text: new_text,
             });
             p.buffer.purge_merged(&keys, &drained);
@@ -1683,6 +1712,7 @@ impl Inner {
                 dead_rows,
                 index,
                 text,
+                ..
             } = m;
             let idx = index
                 .as_mut()
@@ -1746,14 +1776,14 @@ impl Inner {
             // Publication already happened (the in-place update IS the
             // publish); snapshot after it, then truncate — the buffer is
             // empty so the retired prefix is the whole log.
-            let snap = {
+            let ckpt = {
                 let m = self.main.read();
                 self.snapshot_of_main(&m)?
             };
             let path = self
                 .snapshot_path()
                 .expect("durable collection has a wal_dir");
-            snapshot::write(&path, &snap)?;
+            snapshot::write_checkpoint(&path, &ckpt)?;
             wal.reset()?;
         }
         self.stats.merges.fetch_add(1, Ordering::Relaxed);
@@ -1768,21 +1798,22 @@ impl Inner {
         if p.wal.is_none() {
             return Ok(());
         }
-        let snap = {
+        let ckpt = {
             let m = self.main.read();
             self.snapshot_of_main(&m)?
         };
         let path = self
             .snapshot_path()
             .expect("durable collection has a wal_dir");
-        snapshot::write(&path, &snap)?;
+        snapshot::write_checkpoint(&path, &ckpt)?;
         let tail = wal_tail_of(&p.buffer, &p.buffer_attrs);
         p.wal.as_mut().expect("checked above").rewrite(&tail)
     }
 
-    /// A checkpoint snapshot of the published main part, skipping rows
-    /// retired in place.
-    fn snapshot_of_main(&self, m: &Main) -> Result<Snapshot> {
+    /// A checkpoint of the published main part, skipping rows retired in
+    /// place. The index image rides along only when nothing was retired:
+    /// otherwise the compacted rows no longer align with the index's.
+    fn snapshot_of_main(&self, m: &Main) -> Result<Checkpoint> {
         let mut row_keys = Vec::new();
         let mut vectors = Vectors::new(self.schema.dim);
         let mut cols: Vec<Vec<AttrValue>> = vec![Vec::new(); self.schema.columns.len()];
@@ -1819,12 +1850,19 @@ impl Inner {
                 values,
             })
             .collect();
-        Ok(Snapshot {
-            fingerprint: self.cfg.index.fingerprint(),
-            row_keys,
-            vectors,
-            columns,
-            text: text.map(|t| t.encode()),
+        let index = match &m.index {
+            Some(index) if m.dead_rows == 0 => index.image(),
+            _ => None,
+        };
+        Ok(Checkpoint {
+            snapshot: Snapshot {
+                fingerprint: self.cfg.index.fingerprint(),
+                row_keys,
+                vectors,
+                columns,
+                text: text.map(|t| t.encode()),
+            },
+            index,
         })
     }
 }

@@ -4,6 +4,7 @@
 //! This is the facade's "CREATE INDEX ... USING <type>" surface and the
 //! benchmark harness's way of enumerating the whole index zoo.
 
+use std::path::PathBuf;
 use vdb_core::context::SearchContext;
 use vdb_core::error::{Error, Result};
 use vdb_core::index::{IndexStats, RowFilter, SearchParams};
@@ -96,11 +97,17 @@ fn budget_pages(n: usize, dim: usize, fraction: f64) -> usize {
     (((n * dim * 4) as f64 * fraction) / vdb_storage::PAGE_SIZE as f64).ceil() as usize
 }
 
+/// File name of a DiskANN index inside its [`TempDiskIndex`] directory.
+const DISKANN_FILE: &str = "diskann.idx";
+
 /// A disk-resident index together with the [`vdb_storage::TempDir`] that
 /// owns its backing file: the file lives exactly as long as the index.
 struct TempDiskIndex<I: VectorIndex> {
     _dir: vdb_storage::TempDir,
     inner: I,
+    /// The backing file when its bytes are the index's image (the file
+    /// alone reopens the index), `None` for families that cannot reopen.
+    image_file: Option<PathBuf>,
 }
 
 impl<I: VectorIndex> VectorIndex for TempDiskIndex<I> {
@@ -145,6 +152,10 @@ impl<I: VectorIndex> VectorIndex for TempDiskIndex<I> {
     fn stats(&self) -> IndexStats {
         self.inner.stats()
     }
+
+    fn image(&self) -> Option<Vec<u8>> {
+        std::fs::read(self.image_file.as_ref()?).ok()
+    }
 }
 
 impl IndexSpec {
@@ -172,10 +183,11 @@ impl IndexSpec {
     }
 
     /// A stable fingerprint of this spec: its name plus a CRC of the
-    /// full parameterization. Recorded in checkpoint snapshots so a
-    /// recovered collection can tell which spec built the snapshotted
-    /// index (diagnostic — recovery rebuilds from the vectors, so a
-    /// changed spec is honored rather than rejected).
+    /// full parameterization. Recorded in checkpoint snapshots next to
+    /// the index image: recovery loads the image only when the
+    /// collection's spec has the same fingerprint, and otherwise rebuilds
+    /// from the vectors, so a changed spec is honored rather than
+    /// rejected.
     pub fn fingerprint(&self) -> String {
         format!(
             "{}:{:08x}",
@@ -316,8 +328,9 @@ impl IndexSpec {
                 let budget = budget_pages(vectors.len(), dim, *memory_fraction);
                 let vam = VamanaIndex::build_with(vectors, metric, VamanaConfig::default(), opts)?;
                 let dir = vdb_storage::TempDir::new("spec-diskann")?;
+                let path = dir.file(DISKANN_FILE);
                 let inner = DiskAnnIndex::build_with(
-                    dir.file("diskann.idx"),
+                    &path,
                     &vam,
                     &DiskAnnConfig {
                         // Largest PQ width <= 8 that divides the dimension,
@@ -331,7 +344,11 @@ impl IndexSpec {
                     },
                     opts,
                 )?;
-                Box::new(TempDiskIndex { _dir: dir, inner })
+                Box::new(TempDiskIndex {
+                    _dir: dir,
+                    inner,
+                    image_file: Some(path),
+                })
             }
             IndexSpec::Spann {
                 nlist,
@@ -343,9 +360,61 @@ impl IndexSpec {
                 cfg.cache_pages = budget;
                 let inner =
                     SpannIndex::build_with(dir.file("spann.idx"), &vectors, metric, &cfg, opts)?;
-                Box::new(TempDiskIndex { _dir: dir, inner })
+                Box::new(TempDiskIndex {
+                    _dir: dir,
+                    inner,
+                    image_file: None,
+                })
             }
         })
+    }
+
+    /// Reload an index of this spec from the [`VectorIndex::image`] a
+    /// built one produced over the same `vectors`, with no distance
+    /// computations: HNSW decodes its graph, DiskANN reopens its index
+    /// file (written into a fresh spec-owned directory) under the same
+    /// page-cache budget a build would get. `Ok(None)` for families
+    /// without an image format — the caller builds instead; `Err` when
+    /// the image is damaged, of an unknown version, or does not describe
+    /// `vectors`.
+    pub fn load(
+        &self,
+        image: &[u8],
+        vectors: &Vectors,
+        metric: Metric,
+    ) -> Result<Option<Box<dyn VectorIndex>>> {
+        let index: Box<dyn VectorIndex> = match self {
+            IndexSpec::Hnsw(cfg) => Box::new(HnswIndex::from_image(
+                image,
+                vectors.clone(),
+                metric,
+                cfg.clone(),
+            )?),
+            IndexSpec::DiskAnn { memory_fraction } => {
+                let budget = budget_pages(vectors.len(), vectors.dim(), *memory_fraction);
+                let dir = vdb_storage::TempDir::new("spec-diskann")?;
+                let path = dir.file(DISKANN_FILE);
+                std::fs::write(&path, image)?;
+                let inner = DiskAnnIndex::open(&path, metric, budget)?;
+                Box::new(TempDiskIndex {
+                    _dir: dir,
+                    inner,
+                    image_file: Some(path),
+                })
+            }
+            _ => return Ok(None),
+        };
+        if index.len() != vectors.len() || index.dim() != vectors.dim() {
+            return Err(Error::Corrupt(format!(
+                "{} image holds {} rows of dim {}, expected {} of dim {}",
+                self.name(),
+                index.len(),
+                index.dim(),
+                vectors.len(),
+                vectors.dim()
+            )));
+        }
+        Ok(Some(index))
     }
 }
 

@@ -499,3 +499,189 @@ fn crash_sweep_checkpoint_preserves_inverted_index() {
         }
     }
 }
+
+/// HNSW collections whose checkpoints carry the index image. Answers at
+/// a small beam depend on the exact graph, and the build honors
+/// `VDB_BUILD_THREADS`: under a parallel build a rebuild is a different
+/// graph than the one served, so only the image can reproduce answers.
+mod image {
+    use super::*;
+    use vdb_core::{dataset, Rng, Vectors};
+    use vdb_storage::Wal;
+
+    const INDEXED: usize = 800;
+    const BUFFERED: usize = 40;
+
+    pub type Answers = Vec<Vec<(u64, u32)>>;
+
+    pub fn schema() -> CollectionSchema {
+        CollectionSchema::new("crashimg", 8, Metric::Euclidean).column("score", AttrType::Int)
+    }
+
+    pub fn cfg(dir: &TempDir) -> CollectionConfig {
+        CollectionConfig {
+            index: IndexSpec::Hnsw(Default::default()),
+            // Above every row count: `merge()` runs inline on the test
+            // thread, where the failpoints are armed.
+            merge_threshold: 1000,
+            merge_mode: MergeMode::Background,
+            wal_dir: Some(dir.path().to_path_buf()),
+            build: BuildOptions::default(),
+            ..Default::default()
+        }
+    }
+
+    fn data() -> (Vectors, Vectors) {
+        let mut rng = Rng::seed_from_u64(4100);
+        let rows = dataset::gaussian(INDEXED + BUFFERED, 8, &mut rng);
+        let queries = dataset::gaussian(16, 8, &mut rng);
+        (rows, queries)
+    }
+
+    pub fn insert(c: &mut Collection, range: std::ops::Range<usize>) {
+        let (rows, _) = data();
+        for i in range {
+            c.insert(i as u64, rows.get(i), &[("score", (i as i64).into())])
+                .unwrap();
+        }
+    }
+
+    /// Merged rows (the index, imaged in the snapshot) plus buffered ones.
+    pub fn indexed_then_buffered(c: &mut Collection) {
+        insert(c, 0..INDEXED);
+        c.merge().unwrap();
+        insert(c, INDEXED..INDEXED + BUFFERED);
+        c.delete(5).unwrap();
+    }
+
+    pub fn indexed_only(c: &mut Collection) {
+        insert(c, 0..INDEXED);
+        c.merge().unwrap();
+    }
+
+    pub fn answers(c: &Collection) -> Answers {
+        let (_, queries) = data();
+        let params = SearchParams::default().with_beam_width(8);
+        queries
+            .iter()
+            .map(|q| {
+                c.search(q, 10, &params)
+                    .unwrap()
+                    .iter()
+                    .map(|h| (h.key, h.dist.to_bits()))
+                    .collect()
+            })
+            .collect()
+    }
+
+    /// Crash `op` at every durable step; recovery must land on the pre-
+    /// or post-op state through the snapshot's image, and answer exactly
+    /// as the in-process collection in that state did.
+    ///
+    /// Which state that is follows from the files the crash left:
+    /// - old snapshot: the pre-op collection (old image + same WAL);
+    /// - new snapshot + rewritten WAL: the crashed process had already
+    ///   published the new index, and its in-memory answers are the
+    ///   reference;
+    /// - new snapshot + old WAL: the merged rows are replayed into the
+    ///   buffer again. If the crashed process published, re-applying the
+    ///   old WAL to it reproduces that state in process; if it crashed
+    ///   before publishing, the new graph was never served, and the
+    ///   image must at least load it reproducibly.
+    pub fn sweep(
+        name: &str,
+        setup: impl Fn(&mut Collection),
+        op: impl Fn(&mut Collection) -> Result<()>,
+    ) {
+        let refdir = TempDir::new("crash-img-ref").unwrap();
+        let mut c = Collection::create(schema(), cfg(&refdir)).unwrap();
+        setup(&mut c);
+        let pre = dump(&c);
+        op(&mut c).expect("reference op must succeed");
+        let post = dump(&c);
+        drop(c);
+
+        let countdir = TempDir::new("crash-img-count").unwrap();
+        let mut c = Collection::create(schema(), cfg(&countdir)).unwrap();
+        setup(&mut c);
+        let (res, points) = failpoint::count_crash_points(|| op(&mut c));
+        res.expect("counting run must succeed");
+        assert!(points > 0);
+        drop(c);
+
+        for n in 1..=points {
+            let at = format!("{name}[{n}/{points}]");
+            let dir = TempDir::new("crash-img-sweep").unwrap();
+            let mut c = Collection::create(schema(), cfg(&dir)).unwrap();
+            setup(&mut c);
+            let pre_answers = answers(&c);
+            let snap_path = c.snapshot_path().unwrap();
+            let wal_path = c.wal_path().unwrap();
+            let pre_snap = std::fs::read(&snap_path).unwrap();
+            let pre_wal = std::fs::read(&wal_path).unwrap();
+            let pre_records = Wal::replay(&wal_path).unwrap();
+
+            failpoint::arm(n);
+            let err = op(&mut c);
+            failpoint::disarm();
+            assert!(
+                failpoint::is_crash(&err.expect_err("armed op must crash")),
+                "{at}"
+            );
+            let published = c.stats().buffered == 0;
+            let snap_changed = std::fs::read(&snap_path).unwrap() != pre_snap;
+            let wal_changed = std::fs::read(&wal_path).unwrap() != pre_wal;
+
+            let r = Collection::recover(schema(), cfg(&dir))
+                .unwrap_or_else(|e| panic!("{at}: recovery failed: {e}"));
+            assert!(r.stats().index_from_image, "{at}: recovery rebuilt");
+            let state = dump(&r);
+            assert!(state == pre || state == post, "{at}: torn state");
+            let got = answers(&r);
+            if !snap_changed {
+                assert_eq!(got, pre_answers, "{at}: pre-op answers");
+            } else if wal_changed {
+                assert_eq!(got, answers(&c), "{at}: published answers");
+            } else if published {
+                for rec in pre_records {
+                    match rec {
+                        vdb_storage::WalRecord::Insert { key, vector, attrs } => {
+                            let attrs: Vec<(&str, AttrValue)> =
+                                attrs.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
+                            c.insert(key, &vector, &attrs).unwrap();
+                        }
+                        vdb_storage::WalRecord::Delete { key } => c.delete(key).unwrap(),
+                    }
+                }
+                assert_eq!(got, answers(&c), "{at}: published + replayed WAL");
+            } else {
+                drop(r);
+                let again = Collection::recover(schema(), cfg(&dir)).unwrap();
+                assert!(again.stats().index_from_image, "{at}");
+                assert_eq!(answers(&again), got, "{at}: unserved image reloads");
+            }
+        }
+    }
+}
+
+#[test]
+fn crash_sweep_background_rebuild_keeps_hnsw_answers() {
+    image::sweep("rebuild-hnsw", image::indexed_then_buffered, |c| c.merge());
+}
+
+#[test]
+fn crash_sweep_explicit_checkpoint_keeps_hnsw_answers() {
+    // Empty buffer: the checkpoint writes the served graph's image in
+    // place, and every crash point must recover that same graph.
+    image::sweep("checkpoint-hnsw", image::indexed_only, |c| c.checkpoint());
+}
+
+#[test]
+fn crash_sweep_checkpoint_with_buffer_keeps_hnsw_answers() {
+    // A buffered checkpoint is a forced rebuild cycle.
+    image::sweep(
+        "checkpoint-rebuild-hnsw",
+        image::indexed_then_buffered,
+        |c| c.checkpoint(),
+    );
+}
