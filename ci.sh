@@ -50,22 +50,18 @@ echo "== online maintenance: mutability + background-merge stress =="
 # Release profile: the concurrency test needs real rebuild throughput.
 cargo test -q --release --test online_maintenance
 
-echo "== serving layer: loopback server integration, both connection cores =="
+echo "== serving layer: loopback server integration =="
 # Real sockets on 127.0.0.1: N concurrent clients get correct results,
-# overload past max_queue is answered BUSY (not queued), the bulk lane
-# sheds before interactive search, per-collection token buckets throttle,
-# a killed shard socket degrades to a partial result within the deadline,
-# and graceful shutdown drains every in-flight request (DESIGN.md §10,
-# §13). The protocol suite additionally rejects torn/oversized/
-# CRC-flipped frames at every byte offset against a live server and
-# reaps a 200-connection slow-loris trickle without blocking other
-# clients. Both passes run under the readiness-polling event loop
-# (VDB_SERVER_EVENTLOOP=1, the default) and the legacy
-# thread-per-connection readers (=0): results must be bit-identical.
-VDB_SERVER_EVENTLOOP=1 cargo test -q --release --test serving
-VDB_SERVER_EVENTLOOP=0 cargo test -q --release --test serving
-VDB_SERVER_EVENTLOOP=1 cargo test -q --release -p vdb-server --test protocol_robustness
-VDB_SERVER_EVENTLOOP=0 cargo test -q --release -p vdb-server --test protocol_robustness
+# served hits are bit-identical to in-process search, overload past
+# max_queue is answered BUSY (not queued), the bulk lane sheds before
+# interactive search, per-collection token buckets throttle, a killed
+# shard socket degrades to a partial result within the deadline, and
+# graceful shutdown drains every in-flight request (DESIGN.md §10, §13).
+# The protocol suite additionally rejects torn/oversized/CRC-flipped
+# frames at every byte offset against a live server and reaps a
+# 200-connection slow-loris trickle without blocking other clients.
+cargo test -q --release --test serving
+cargo test -q --release -p vdb-server --test protocol_robustness
 
 echo "== replication: torn-stream sweep, bootstrap convergence, failover drill =="
 # The replicated write path (DESIGN.md §14): the shipping codec survives
@@ -73,12 +69,11 @@ echo "== replication: torn-stream sweep, bootstrap convergence, failover drill =
 # bootstrapping WHILE the primary takes writes converges bit-identically
 # (snapshot + WAL tail + catch-up); and the kill-primary drill promotes
 # the replica via a manifest bump and proves zero lost acknowledged
-# writes. The server-level suite runs under both connection cores; the
-# retry-restriction regression test (MaybeApplied instead of silent
-# double-apply) lives in the vdb-server lib tests covered above.
+# writes. The retry-restriction regression test (MaybeApplied instead
+# of silent double-apply) lives in the vdb-server lib tests covered
+# above.
 cargo test -q --release -p vdb-storage --test repl_stream_torn
-VDB_SERVER_EVENTLOOP=1 cargo test -q --release --test replication
-VDB_SERVER_EVENTLOOP=0 cargo test -q --release --test replication
+cargo test -q --release --test replication
 
 echo "== kernel equivalence with SIMD force-disabled =="
 # kernel_sets() ignores the escape hatch, so the SIMD-vs-scalar checks

@@ -2,10 +2,9 @@
 //! under concurrent clients, with request coalescing and `TCP_NODELAY`
 //! on and off.
 //!
-//! S2 (connection scaling) — QPS and tail latency as open connections
-//! grow to the hundreds with 90% of them idle, comparing the
-//! readiness-polling event loop against the legacy thread-per-connection
-//! readers.
+//! S2 (connection scaling) — QPS and tail latency of the
+//! readiness-polling event loop as open connections grow to the hundreds
+//! with 90% of them idle.
 
 use crate::{fmt, print_table, Scale};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -189,20 +188,14 @@ fn drive_s2(
     queries: &[Vec<f32>],
     total_conns: usize,
     per_active: usize,
-    event_loop: bool,
 ) -> Result<(usize, f64, f64, f64, u64, u64)> {
-    let cfg = ServerConfig {
-        event_loop: Some(event_loop),
-        ..ServerConfig::default()
-    };
-    let handle = serve_fixture(data, cfg)?;
+    let handle = serve_fixture(data, ServerConfig::default())?;
     let addr = handle.addr();
     let active = (total_conns / 10).max(1);
     let idle = total_conns.saturating_sub(active);
     let errors = AtomicU64::new(0);
     // The idle fleet: connected sockets that never send a byte. The
-    // event loop holds them in one poll set; the legacy core pays a
-    // parked reader thread for each.
+    // event loop holds them in one poll set.
     // 2s timeout: a SYN dropped by a momentarily full listener backlog
     // is retried by the kernel at ~1s, which must count as a slow
     // accept, not a failed one.
@@ -261,8 +254,7 @@ fn drive_s2(
     ))
 }
 
-/// S2: connection scaling with a mostly-idle fleet — event loop vs
-/// legacy thread-per-connection readers.
+/// S2: connection scaling of the event loop with a mostly-idle fleet.
 pub fn s2_connection_scaling(scale: Scale) -> Result<()> {
     let mut rng = Rng::seed_from_u64(0x52);
     let n = scale.n() / 4;
@@ -276,34 +268,29 @@ pub fn s2_connection_scaling(scale: Scale) -> Result<()> {
         Scale::Full => (&[8, 32, 64, 128, 256], 200),
     };
     let mut rows = Vec::new();
-    for &mode in &[true, false] {
-        for &conns in conn_counts {
-            let (active, qps, p50, p99, errors, reaped) =
-                drive_s2(&data, &queries, conns, per_active, mode)?;
-            rows.push(vec![
-                if mode { "event" } else { "legacy" }.to_string(),
-                conns.to_string(),
-                active.to_string(),
-                fmt(qps, 0),
-                fmt(p50, 0),
-                fmt(p99, 0),
-                errors.to_string(),
-                reaped.to_string(),
-            ]);
-        }
+    for &conns in conn_counts {
+        let (active, qps, p50, p99, errors, reaped) = drive_s2(&data, &queries, conns, per_active)?;
+        rows.push(vec![
+            conns.to_string(),
+            active.to_string(),
+            fmt(qps, 0),
+            fmt(p50, 0),
+            fmt(p99, 0),
+            errors.to_string(),
+            reaped.to_string(),
+        ]);
     }
     print_table(
         &format!("S2: connection scaling, 90% idle (hnsw, {n} vectors, d={dim})"),
         &[
-            "core", "conns", "active", "qps", "p50_us", "p99_us", "errors", "reaped",
+            "conns", "active", "qps", "p50_us", "p99_us", "errors", "reaped",
         ],
         &rows,
     );
     println!(
         "  Expected shape: the event loop holds hundreds of idle connections\n  \
          in one poll set, so QPS at 128+ connections stays within ~10% of\n  \
-         its 8-connection peak with zero errors. The legacy core spawns a\n  \
-         reader thread per connection and degrades as the idle fleet grows."
+         its 8-connection peak with zero errors."
     );
     Ok(())
 }

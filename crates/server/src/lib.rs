@@ -2,15 +2,15 @@
 //!
 //! Everything here is `std`-only: the transport is the length-prefixed,
 //! CRC-framed binary protocol of [`vdb_distributed::wire`], carried over
-//! `std::net` TCP.
+//! `std::net` TCP. The crate is unix-only: its connection core polls
+//! sockets with `poll(2)` and wakes itself over a `UnixStream` pair.
 //!
 //! - [`protocol`] — typed [`Request`]/[`Response`] messages and their
 //!   wire codec (one opcode byte + little-endian body per frame).
 //! - [`net`] — dependency-free readiness polling: a `poll(2)` shim and
-//!   a self-wake channel for the event-loop connection core (unix).
+//!   a self-wake channel for the event-loop connection core.
 //! - [`server`] — [`serve`] a [`vdb::Vdbms`] on a socket: a
-//!   readiness-polling event loop holds every connection (legacy
-//!   thread-per-connection readers behind `VDB_SERVER_EVENTLOOP=0`),
+//!   readiness-polling event loop holds every connection,
 //!   thread-pool executors behind a bounded two-lane queue (interactive
 //!   search before bulk mutation), per-collection token-bucket rate
 //!   limits, admission control that sheds load with an explicit
@@ -53,9 +53,11 @@
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
 
+#[cfg(not(unix))]
+compile_error!("vdb-server is unix-only: the event loop needs poll(2) and UnixStream");
+
 pub mod client;
 pub mod cluster;
-#[cfg(unix)]
 pub mod net;
 pub mod protocol;
 pub mod replication;

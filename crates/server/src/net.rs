@@ -21,12 +21,9 @@
 //! nonblocking and `WouldBlock` is success.
 
 use std::io::{self, Read, Write};
-use std::time::Duration;
-
-#[cfg(unix)]
 use std::os::fd::{AsRawFd, RawFd};
-#[cfg(unix)]
 use std::os::unix::net::UnixStream;
+use std::time::Duration;
 
 /// `poll` readiness flag: data available to read (or a peer close, which
 /// reads as EOF).
@@ -51,7 +48,6 @@ pub struct PollFd {
     revents: i16,
 }
 
-#[cfg(unix)]
 impl PollFd {
     /// Watch `fd` for `events` (a bitmask of [`POLLIN`] / [`POLLOUT`]).
     pub fn new(fd: RawFd, events: i16) -> Self {
@@ -83,7 +79,6 @@ impl PollFd {
     }
 }
 
-#[cfg(unix)]
 mod sys {
     use super::PollFd;
     use std::os::raw::{c_int, c_ulong};
@@ -100,7 +95,6 @@ mod sys {
 /// elapses; returns how many entries have nonzero `revents`. `EINTR`
 /// retries transparently (with the timeout restarted — callers run
 /// ticked loops, so a rare stretched tick is harmless).
-#[cfg(unix)]
 #[allow(unsafe_code)]
 pub fn poll(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
     let millis = timeout.as_millis().min(i32::MAX as u128) as i32;
@@ -122,12 +116,10 @@ pub fn poll(fds: &mut [PollFd], timeout: Duration) -> io::Result<usize> {
 /// The event loop's self-wake channel: any thread holding a [`Waker`]
 /// can interrupt the loop's `poll`; the loop drains the byte(s) and
 /// processes whatever was posted alongside.
-#[cfg(unix)]
 pub struct Waker {
     tx: UnixStream,
 }
 
-#[cfg(unix)]
 impl Waker {
     /// Build the pair: the [`Waker`] for producers, the [`WakeReceiver`]
     /// for the event loop's poll set.
@@ -146,12 +138,10 @@ impl Waker {
 }
 
 /// The read side of a [`Waker`] pair; lives in the event loop's poll set.
-#[cfg(unix)]
 pub struct WakeReceiver {
     rx: UnixStream,
 }
 
-#[cfg(unix)]
 impl WakeReceiver {
     /// The descriptor to register with [`POLLIN`].
     pub fn fd(&self) -> RawFd {
@@ -166,7 +156,7 @@ impl WakeReceiver {
     }
 }
 
-#[cfg(all(test, unix))]
+#[cfg(test)]
 mod tests {
     use super::*;
     use std::io::Write;

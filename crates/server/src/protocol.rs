@@ -218,9 +218,6 @@ pub struct ServerStatsSnapshot {
     pub p50_us: u64,
     /// 99th-percentile admission-to-response latency, in microseconds.
     pub p99_us: u64,
-    /// Whether the server is running the readiness-polling event loop
-    /// (`false` = legacy thread-per-connection readers).
-    pub event_loop: bool,
     /// Total merges (rebuilds or in-place folds) across collections.
     pub merges: u64,
     /// Total rows waiting in update buffers across collections.
@@ -1039,7 +1036,10 @@ impl Response {
                 wire::put_u64(&mut out, s.qps);
                 wire::put_u64(&mut out, s.p50_us);
                 wire::put_u64(&mut out, s.p99_us);
-                wire::put_u8(&mut out, u8::from(s.event_loop));
+                // Retired "connection core" byte: always 1 (event loop).
+                // The wire carries no version, so dropping the slot would
+                // make older clients misparse every field after it.
+                wire::put_u8(&mut out, 1);
                 wire::put_u64(&mut out, s.merges);
                 wire::put_u64(&mut out, s.buffered);
                 wire::put_u64(&mut out, s.rebuilds_in_flight);
@@ -1138,8 +1138,10 @@ impl Response {
                 qps: r.u64()?,
                 p50_us: r.u64()?,
                 p99_us: r.u64()?,
-                event_loop: r.u8()? != 0,
-                merges: r.u64()?,
+                merges: {
+                    r.u8()?; // retired connection-core byte, see `encode`
+                    r.u64()?
+                },
                 buffered: r.u64()?,
                 rebuilds_in_flight: r.u64()?,
                 last_swap_micros: r.u64()?,
@@ -1376,7 +1378,6 @@ mod tests {
                 qps: 4200,
                 p50_us: 512,
                 p99_us: 8192,
-                event_loop: true,
                 merges: 7,
                 buffered: 130,
                 rebuilds_in_flight: 1,

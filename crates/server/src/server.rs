@@ -12,11 +12,6 @@
 //!   queue and run them against the database, posting completions back
 //!   to the loop through a [`net::Waker`].
 //!
-//! The legacy thread-per-connection reader model from PR 5 is kept
-//! behind `VDB_SERVER_EVENTLOOP=0` (or [`ServerConfig::event_loop`]) for
-//! comparison; both paths share the same admission layer and executors,
-//! so results are bit-identical.
-//!
 //! Admission is explicit and priority-aware: the queue has an
 //! **interactive** lane (search, stats) and a **bulk** lane (insert,
 //! delete, checkpoint). Executors always drain interactive first, and
@@ -41,6 +36,7 @@
 //! gets its response), write buffers flush, and only then do sockets
 //! close.
 
+use crate::net;
 use crate::protocol::{
     ErrorCode, FusedHit, ReplicaPayload, Request, Response, ServerStatsSnapshot,
     WireCollectionStats, WireReplLink,
@@ -50,7 +46,6 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::mpsc;
 use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -59,9 +54,6 @@ use vdb_core::error::{Error, Result};
 use vdb_core::index::SearchParams;
 use vdb_distributed::wire;
 use vdb_distributed::ClusterManifest;
-
-#[cfg(unix)]
-use crate::net;
 
 /// A per-collection token-bucket rate limit: sustained `per_sec`
 /// requests per second with bursts up to `burst`.
@@ -102,8 +94,7 @@ pub struct ServerConfig {
     /// Budget from admission to execution start; overdue requests are
     /// answered with a `DEADLINE` error, not executed late.
     pub request_deadline: Duration,
-    /// Event-loop tick / legacy reader poll interval (shutdown latency
-    /// bound).
+    /// Event-loop poll tick (shutdown latency bound).
     pub idle_tick: Duration,
     /// How long a peer may take to finish transmitting one started
     /// frame. A whole-frame budget: trickling one byte per tick does not
@@ -114,20 +105,14 @@ pub struct ServerConfig {
     /// Cap on concurrently open connections; excess accepts are closed
     /// immediately.
     pub max_connections: usize,
-    /// Per-connection cap on admitted-but-unanswered pipelined requests
-    /// (event loop only); a connection at the cap stops being read
-    /// until responses drain.
+    /// Per-connection cap on admitted-but-unanswered pipelined requests;
+    /// a connection at the cap stops being read until responses drain.
     pub max_pipeline: usize,
     /// Cap on a single frame payload.
     pub max_frame: u32,
     /// Set `TCP_NODELAY` on accepted sockets (request/response frames
     /// are small; Nagle delays hurt p50).
     pub nodelay: bool,
-    /// `Some(true)` forces the readiness-polling event loop,
-    /// `Some(false)` forces legacy thread-per-connection readers, `None`
-    /// (default) follows `VDB_SERVER_EVENTLOOP` (unset/`1` = event
-    /// loop). Non-unix builds always use the legacy path.
-    pub event_loop: Option<bool>,
 }
 
 impl Default for ServerConfig {
@@ -148,16 +133,7 @@ impl Default for ServerConfig {
             max_pipeline: 32,
             max_frame: wire::MAX_FRAME,
             nodelay: true,
-            event_loop: None,
         }
-    }
-}
-
-/// Resolve the `VDB_SERVER_EVENTLOOP` switch (default: on).
-fn event_loop_env_default() -> bool {
-    match std::env::var("VDB_SERVER_EVENTLOOP") {
-        Ok(v) => !(v == "0" || v.eq_ignore_ascii_case("false") || v.eq_ignore_ascii_case("off")),
-        Err(_) => true,
     }
 }
 
@@ -329,45 +305,18 @@ fn charged_collection(request: &Request) -> Option<&str> {
     }
 }
 
-/// How an executor delivers a finished response.
-enum Reply {
-    /// Legacy path: the reader thread blocks on this channel.
-    Channel(mpsc::Sender<Response>),
-    /// Event-loop path: post to the completion hub and wake the loop;
-    /// `token` identifies the connection generation, `seq` its place in
-    /// the per-connection response order.
-    #[cfg(unix)]
-    Conn {
-        token: u64,
-        seq: u64,
-        hub: Arc<CompletionHub>,
-    },
+/// Where an executor delivers a finished response: `token` identifies
+/// the connection generation, `seq` its place in the per-connection
+/// response order.
+struct Reply {
+    token: u64,
+    seq: u64,
 }
 
 struct Job {
     request: Request,
     reply: Reply,
     enqueued: Instant,
-}
-
-/// Completions posted by executors for the event loop to flush.
-#[cfg(unix)]
-struct CompletionHub {
-    done: vdb_core::sync::Mutex<Vec<(u64, u64, Response)>>,
-    waker: Arc<net::Waker>,
-}
-
-#[cfg(unix)]
-impl CompletionHub {
-    fn post(&self, token: u64, seq: u64, resp: Response) {
-        self.done.lock().push((token, seq, resp));
-        self.waker.wake();
-    }
-
-    fn take(&self, into: &mut Vec<(u64, u64, Response)>) {
-        into.clear();
-        std::mem::swap(&mut *self.done.lock(), into);
-    }
 }
 
 #[derive(Default)]
@@ -430,12 +379,11 @@ struct Shared {
     /// so `ServerStats` can report per-link WAL lag. Weak: a replicator
     /// dies (and drops out of the stats) with its owner's `Arc`.
     replicators: vdb_core::sync::Mutex<Vec<std::sync::Weak<Replicator>>>,
-    /// Which connection core `serve` picked.
-    use_event_loop: bool,
-    /// Set when the event loop is running, so `begin_stop` can
-    /// interrupt its poll.
-    #[cfg(unix)]
-    loop_waker: vdb_core::sync::Mutex<Option<Arc<net::Waker>>>,
+    /// Responses posted by executors as `(token, seq, response)`, for the
+    /// event loop to move into connection write buffers.
+    completions: vdb_core::sync::Mutex<Vec<(u64, u64, Response)>>,
+    /// Interrupts the event loop's poll: on every completion and on stop.
+    waker: net::Waker,
 }
 
 // The workspace swallows mutex poisoning by policy (vdb_core::sync); the
@@ -486,7 +434,6 @@ impl Shared {
             qps: self.qps.current(),
             p50_us: self.latency.percentile(0.50),
             p99_us: self.latency.percentile(0.99),
-            event_loop: self.use_event_loop,
             merges: maint.merges,
             buffered: maint.buffered,
             rebuilds_in_flight: maint.rebuilds_in_flight,
@@ -550,8 +497,8 @@ impl Shared {
         }
     }
 
-    /// Deliver an executor-produced response: time it, count it, route
-    /// it back to whichever connection core owns the socket.
+    /// Deliver an executor-produced response: time it, count it, post it
+    /// to the event loop and wake the loop.
     fn respond(&self, reply: Reply, enqueued: Instant, resp: Response) {
         self.latency
             .record(enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64);
@@ -559,21 +506,15 @@ impl Shared {
         if !matches!(resp, Response::Busy) {
             self.stats.served.fetch_add(1, Ordering::Relaxed);
         }
-        match reply {
-            Reply::Channel(tx) => {
-                tx.send(resp).ok();
-            }
-            #[cfg(unix)]
-            Reply::Conn { token, seq, hub } => hub.post(token, seq, resp),
-        }
+        self.completions.lock().push((reply.token, reply.seq, resp));
+        self.waker.wake();
         self.inflight.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
-/// Try to queue `request`. `None` = admitted (the reply will arrive via
-/// `reply`); `Some(resp)` = rejected, answer the caller immediately
-/// (the reply handle is dropped). Both connection cores share this, so
-/// shedding behavior is identical under `VDB_SERVER_EVENTLOOP=0|1`.
+/// Try to queue `request`. `None` = admitted (the response will be
+/// posted to `reply`'s connection slot); `Some(resp)` = rejected, answer
+/// the caller immediately.
 fn admit(shared: &Shared, request: Request, reply: Reply) -> Option<Response> {
     if shared.stop.load(Ordering::SeqCst) {
         return Some(Response::Error {
@@ -624,7 +565,7 @@ pub struct ServerHandle {
     /// `Some` while running; taken by [`ServerHandle::shutdown`] so the
     /// last `Arc` can be unwrapped to hand the database back.
     shared: Option<Arc<Shared>>,
-    /// The acceptor (legacy) or event-loop thread.
+    /// The event-loop thread.
     io_thread: Option<JoinHandle<()>>,
     workers: Vec<JoinHandle<()>>,
 }
@@ -718,14 +659,7 @@ impl ServerHandle {
 
     fn begin_stop(&self) {
         self.shared().stop.store(true, Ordering::SeqCst);
-        #[cfg(unix)]
-        if let Some(w) = self.shared().loop_waker.lock().as_ref() {
-            w.wake();
-        }
-        if !self.shared().use_event_loop {
-            // Wake the legacy blocking accept with a throwaway connection.
-            TcpStream::connect_timeout(&self.addr, Duration::from_millis(200)).ok();
-        }
+        self.shared().waker.wake();
         self.shared().wake.notify_all();
     }
 }
@@ -757,7 +691,8 @@ pub fn serve(db: Vdbms, addr: impl ToSocketAddrs, cfg: ServerConfig) -> Result<S
     cfg.bulk_queue = cfg.bulk_queue.min(cfg.max_queue);
     let listener = TcpListener::bind(addr)?;
     let addr = listener.local_addr()?;
-    let use_event_loop = cfg!(unix) && cfg.event_loop.unwrap_or_else(event_loop_env_default);
+    listener.set_nonblocking(true)?;
+    let (waker, wake_rx) = net::Waker::pair()?;
     let shared = Arc::new(Shared {
         db: RwLock::new(db),
         cfg: cfg.clone(),
@@ -772,9 +707,8 @@ pub fn serve(db: Vdbms, addr: impl ToSocketAddrs, cfg: ServerConfig) -> Result<S
         limiters: vdb_core::sync::Mutex::new(HashMap::new()),
         cluster: vdb_core::sync::Mutex::new(None),
         replicators: vdb_core::sync::Mutex::new(Vec::new()),
-        use_event_loop,
-        #[cfg(unix)]
-        loop_waker: vdb_core::sync::Mutex::new(None),
+        completions: vdb_core::sync::Mutex::new(Vec::new()),
+        waker,
     });
     let mut workers = Vec::with_capacity(cfg.workers);
     for i in 0..cfg.workers {
@@ -786,10 +720,12 @@ pub fn serve(db: Vdbms, addr: impl ToSocketAddrs, cfg: ServerConfig) -> Result<S
                 .expect("spawn executor"),
         );
     }
-    let io_thread = if use_event_loop {
-        spawn_event_loop(&shared, listener)?
-    } else {
-        spawn_legacy_acceptor(&shared, listener)
+    let io_thread = {
+        let shared = shared.clone();
+        std::thread::Builder::new()
+            .name("vdb-event-loop".into())
+            .spawn(move || event_loop::EventCore::new(shared, listener, wake_rx).run())
+            .expect("spawn event loop")
     };
     Ok(ServerHandle {
         addr,
@@ -797,185 +733,6 @@ pub fn serve(db: Vdbms, addr: impl ToSocketAddrs, cfg: ServerConfig) -> Result<S
         io_thread: Some(io_thread),
         workers,
     })
-}
-
-#[cfg(not(unix))]
-fn spawn_event_loop(_shared: &Arc<Shared>, _listener: TcpListener) -> Result<JoinHandle<()>> {
-    unreachable!("serve() never selects the event loop off unix")
-}
-
-#[cfg(unix)]
-fn spawn_event_loop(shared: &Arc<Shared>, listener: TcpListener) -> Result<JoinHandle<()>> {
-    let (waker, wake_rx) = net::Waker::pair()?;
-    let waker = Arc::new(waker);
-    *shared.loop_waker.lock() = Some(waker.clone());
-    let hub = Arc::new(CompletionHub {
-        done: vdb_core::sync::Mutex::new(Vec::new()),
-        waker,
-    });
-    let shared = shared.clone();
-    Ok(std::thread::Builder::new()
-        .name("vdb-event-loop".into())
-        .spawn(move || {
-            event_loop::EventCore::new(shared, listener, wake_rx, hub).run();
-        })
-        .expect("spawn event loop"))
-}
-
-fn spawn_legacy_acceptor(shared: &Arc<Shared>, listener: TcpListener) -> JoinHandle<()> {
-    let accept_shared = shared.clone();
-    std::thread::Builder::new()
-        .name("vdb-accept".into())
-        .spawn(move || {
-            let mut readers = Vec::new();
-            for stream in listener.incoming() {
-                if accept_shared.stop.load(Ordering::SeqCst) {
-                    break;
-                }
-                let Ok(stream) = stream else { continue };
-                let open = accept_shared.stats.open_connections.load(Ordering::Relaxed);
-                if open >= accept_shared.cfg.max_connections as u64 {
-                    drop(stream);
-                    continue;
-                }
-                if accept_shared.cfg.nodelay {
-                    stream.set_nodelay(true).ok();
-                }
-                accept_shared
-                    .stats
-                    .connections
-                    .fetch_add(1, Ordering::Relaxed);
-                accept_shared
-                    .stats
-                    .open_connections
-                    .fetch_add(1, Ordering::Relaxed);
-                let shared = accept_shared.clone();
-                readers.push(std::thread::spawn(move || {
-                    reader_loop(stream, &shared);
-                    shared
-                        .stats
-                        .open_connections
-                        .fetch_sub(1, Ordering::Relaxed);
-                }));
-            }
-            drop(listener);
-            for r in readers {
-                r.join().ok();
-            }
-        })
-        .expect("spawn acceptor")
-}
-
-/// Legacy per-connection loop: decode one frame, dispatch, write the
-/// response. One OS thread per connection — kept for comparison with
-/// the event loop (`VDB_SERVER_EVENTLOOP=0`).
-fn reader_loop(mut stream: TcpStream, shared: &Shared) {
-    let mut last_activity = Instant::now();
-    loop {
-        if shared.stop.load(Ordering::SeqCst) {
-            return; // no request in flight on this connection by construction
-        }
-        let payload = match wire::read_server_frame(
-            &mut stream,
-            shared.cfg.idle_tick,
-            shared.cfg.frame_timeout,
-            shared.cfg.max_frame,
-        ) {
-            Ok(wire::ServerRead::Frame(p)) => p,
-            Ok(wire::ServerRead::Idle) => {
-                if last_activity.elapsed() >= shared.cfg.idle_timeout {
-                    shared.stats.reaped.fetch_add(1, Ordering::Relaxed);
-                    return;
-                }
-                continue;
-            }
-            Ok(wire::ServerRead::Closed) => return,
-            Err(Error::Corrupt(msg)) => {
-                // Bad magic / oversized length / CRC mismatch: answer with
-                // a protocol error, then close — framing sync is gone.
-                shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let resp = Response::Error {
-                    code: ErrorCode::Protocol,
-                    message: msg,
-                    pos: 0,
-                };
-                write_response(&mut stream, &resp).ok();
-                return;
-            }
-            Err(Error::Io(e))
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::TimedOut | std::io::ErrorKind::WouldBlock
-                ) =>
-            {
-                // A started frame trickled past frame_timeout: reap it.
-                shared.stats.reaped.fetch_add(1, Ordering::Relaxed);
-                return;
-            }
-            Err(_) => return,
-        };
-        last_activity = Instant::now();
-        let request = match Request::decode(&payload) {
-            Ok(r) => r,
-            Err(e) => {
-                // The frame was intact (CRC passed) but the message is
-                // malformed: answer and keep the connection.
-                shared.stats.protocol_errors.fetch_add(1, Ordering::Relaxed);
-                let resp = Response::Error {
-                    code: ErrorCode::Protocol,
-                    message: e.to_string(),
-                    pos: 0,
-                };
-                if write_response(&mut stream, &resp).is_err() {
-                    return;
-                }
-                continue;
-            }
-        };
-        let response = dispatch_blocking(shared, request);
-        if write_response(&mut stream, &response).is_err() {
-            return;
-        }
-    }
-}
-
-fn write_response(stream: &mut TcpStream, resp: &Response) -> Result<()> {
-    wire::write_frame(stream, &resp.encode())
-}
-
-/// Route one decoded request on the legacy path: control messages are
-/// answered inline by the reader thread; everything else goes through
-/// the shared admission layer and blocks on the reply channel.
-fn dispatch_blocking(shared: &Shared, request: Request) -> Response {
-    match request {
-        Request::Ping => {
-            shared.stats.served.fetch_add(1, Ordering::Relaxed);
-            Response::Pong
-        }
-        Request::Shutdown => {
-            shared.shutdown_requested.store(true, Ordering::SeqCst);
-            shared.stats.served.fetch_add(1, Ordering::Relaxed);
-            Response::Done
-        }
-        Request::ServerStats => {
-            shared.stats.served.fetch_add(1, Ordering::Relaxed);
-            Response::ServerStats(shared.snapshot())
-        }
-        request => {
-            let (tx, rx) = mpsc::channel();
-            if let Some(resp) = admit(shared, request, Reply::Channel(tx)) {
-                return resp;
-            }
-            match rx.recv() {
-                Ok(resp) => resp,
-                Err(_) => Response::Error {
-                    code: ErrorCode::Internal,
-                    message: "executor dropped the request".into(),
-                    pos: 0,
-                },
-            }
-        }
-    }
 }
 
 /// Executor loop: pop (interactive lane first), coalesce compatible
@@ -1378,7 +1135,6 @@ fn execute(shared: &Shared, request: &Request) -> Response {
 
 /// The readiness-polling connection core (DESIGN.md §13): one thread,
 /// one `poll(2)` set, every connection a small state machine.
-#[cfg(unix)]
 mod event_loop {
     use super::*;
     use std::io::{ErrorKind, Read, Write};
@@ -1514,7 +1270,6 @@ mod event_loop {
         shared: Arc<Shared>,
         listener: TcpListener,
         wake_rx: net::WakeReceiver,
-        hub: Arc<CompletionHub>,
         conns: Vec<Option<Conn>>,
         gens: Vec<u32>,
         free: Vec<usize>,
@@ -1523,20 +1278,16 @@ mod event_loop {
     }
 
     impl EventCore {
+        /// `listener` must already be nonblocking.
         pub(super) fn new(
             shared: Arc<Shared>,
             listener: TcpListener,
             wake_rx: net::WakeReceiver,
-            hub: Arc<CompletionHub>,
         ) -> Self {
-            listener
-                .set_nonblocking(true)
-                .expect("nonblocking listener");
             EventCore {
                 shared,
                 listener,
                 wake_rx,
-                hub,
                 conns: Vec::new(),
                 gens: Vec::new(),
                 free: Vec::new(),
@@ -1607,7 +1358,6 @@ mod event_loop {
                                     &self.shared,
                                     self.conns[idx].as_mut().expect("slot live this tick"),
                                     &mut self.scratch,
-                                    &self.hub,
                                 );
                                 if !keep {
                                     to_close.push(idx);
@@ -1648,7 +1398,7 @@ mod event_loop {
         /// Move executor completions into their connections' buffers.
         fn apply_completions(&mut self) {
             let mut completions = std::mem::take(&mut self.completions);
-            self.hub.take(&mut completions);
+            std::mem::swap(&mut *self.shared.completions.lock(), &mut completions);
             for (token, seq, resp) in completions.drain(..) {
                 let slot = (token >> 32) as usize;
                 let gen = token as u32;
@@ -1729,12 +1479,7 @@ mod event_loop {
 
     /// Drain the socket into the read buffer and parse every complete
     /// frame out of it. `false` = close the connection.
-    fn conn_read(
-        shared: &Shared,
-        conn: &mut Conn,
-        scratch: &mut [u8],
-        hub: &Arc<CompletionHub>,
-    ) -> bool {
+    fn conn_read(shared: &Shared, conn: &mut Conn, scratch: &mut [u8]) -> bool {
         loop {
             match (&conn.stream).read(scratch) {
                 Ok(0) => {
@@ -1753,14 +1498,14 @@ mod event_loop {
                 Err(_) => return false,
             }
         }
-        parse_frames(shared, conn, hub);
+        parse_frames(shared, conn);
         true
     }
 
     /// Incremental frame decoder: consume complete `header | payload`
     /// frames from the read buffer, leave partial ones for the next
     /// readiness event (guarded by the frame deadline).
-    fn parse_frames(shared: &Shared, conn: &mut Conn, hub: &Arc<CompletionHub>) {
+    fn parse_frames(shared: &Shared, conn: &mut Conn) {
         let mut consumed = 0usize;
         loop {
             let buf = &conn.read_buf[consumed..];
@@ -1793,7 +1538,7 @@ mod event_loop {
             let request = Request::decode(payload);
             consumed += HEADER + len as usize;
             match request {
-                Ok(req) => handle_request(shared, conn, req, hub),
+                Ok(req) => handle_request(shared, conn, req),
                 Err(e) => {
                     // Intact frame, malformed message: answer and keep
                     // the connection (framing sync is still good).
@@ -1837,12 +1582,7 @@ mod event_loop {
 
     /// Route one decoded request: pure control inline, everything else
     /// through the shared admission layer with an ordered reply slot.
-    fn handle_request(
-        shared: &Shared,
-        conn: &mut Conn,
-        request: Request,
-        hub: &Arc<CompletionHub>,
-    ) {
+    fn handle_request(shared: &Shared, conn: &mut Conn, request: Request) {
         match request {
             Request::Ping => {
                 shared.stats.served.fetch_add(1, Ordering::Relaxed);
@@ -1853,16 +1593,15 @@ mod event_loop {
                 shared.stats.served.fetch_add(1, Ordering::Relaxed);
                 conn.deliver_next(&Response::Done);
             }
-            // ServerStats goes through the queue here (unlike the legacy
-            // reader): it reads the db lock for maintenance stats, and
-            // the loop thread must never wait on the database.
+            // ServerStats goes through the queue: it reads the db lock
+            // for maintenance stats, and the loop thread must never wait
+            // on the database.
             request => {
                 let seq = conn.next_seq;
                 conn.next_seq += 1;
-                let reply = Reply::Conn {
+                let reply = Reply {
                     token: conn.token,
                     seq,
-                    hub: hub.clone(),
                 };
                 match admit(shared, request, reply) {
                     None => conn.outstanding += 1,
@@ -1905,138 +1644,118 @@ mod tests {
         Response::decode(&payload).unwrap()
     }
 
-    fn both_cores() -> Vec<ServerConfig> {
-        vec![
-            ServerConfig {
-                event_loop: Some(true),
-                ..ServerConfig::default()
-            },
-            ServerConfig {
-                event_loop: Some(false),
-                ..ServerConfig::default()
-            },
-        ]
-    }
-
     #[test]
     fn serve_search_vql_stats_roundtrip() {
-        for cfg in both_cores() {
-            let handle = serve(fixture_db(32), "127.0.0.1:0", cfg).unwrap();
-            let addr = handle.addr();
-            assert_eq!(call(addr, &Request::Ping), Response::Pong);
-            let resp = call(
-                addr,
-                &Request::Search {
-                    collection: "docs".into(),
-                    k: 2,
-                    params: SearchParams::default(),
-                    query: vec![5.2, 0.0, 0.0],
-                },
-            );
-            match resp {
-                Response::Hits(hits) => {
-                    assert_eq!(hits[0].key, 5);
-                    assert_eq!(hits[1].key, 6);
-                }
-                other => panic!("expected hits, got {other:?}"),
+        let handle = serve(fixture_db(32), "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let addr = handle.addr();
+        assert_eq!(call(addr, &Request::Ping), Response::Pong);
+        let resp = call(
+            addr,
+            &Request::Search {
+                collection: "docs".into(),
+                k: 2,
+                params: SearchParams::default(),
+                query: vec![5.2, 0.0, 0.0],
+            },
+        );
+        match resp {
+            Response::Hits(hits) => {
+                assert_eq!(hits[0].key, 5);
+                assert_eq!(hits[1].key, 6);
             }
-            let resp = call(
-                addr,
-                &Request::Vql {
-                    statement: "COUNT docs".into(),
-                },
-            );
-            assert_eq!(resp, Response::Count(32));
-            match call(
-                addr,
-                &Request::Stats {
-                    collection: "docs".into(),
-                },
-            ) {
-                Response::Stats(s) => assert_eq!(s.live, 32),
-                other => panic!("expected stats, got {other:?}"),
-            }
-            // Unknown collection surfaces as a typed NOT_FOUND error.
-            match call(
-                addr,
-                &Request::Search {
-                    collection: "ghosts".into(),
-                    k: 1,
-                    params: SearchParams::default(),
-                    query: vec![0.0; 3],
-                },
-            ) {
-                Response::Error { code, .. } => assert_eq!(code, ErrorCode::NotFound),
-                other => panic!("expected error, got {other:?}"),
-            }
-            let db = handle.shutdown();
-            assert_eq!(db.collection("docs").unwrap().len(), 32);
+            other => panic!("expected hits, got {other:?}"),
         }
+        let resp = call(
+            addr,
+            &Request::Vql {
+                statement: "COUNT docs".into(),
+            },
+        );
+        assert_eq!(resp, Response::Count(32));
+        match call(
+            addr,
+            &Request::Stats {
+                collection: "docs".into(),
+            },
+        ) {
+            Response::Stats(s) => assert_eq!(s.live, 32),
+            other => panic!("expected stats, got {other:?}"),
+        }
+        // Unknown collection surfaces as a typed NOT_FOUND error.
+        match call(
+            addr,
+            &Request::Search {
+                collection: "ghosts".into(),
+                k: 1,
+                params: SearchParams::default(),
+                query: vec![0.0; 3],
+            },
+        ) {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::NotFound),
+            other => panic!("expected error, got {other:?}"),
+        }
+        let db = handle.shutdown();
+        assert_eq!(db.collection("docs").unwrap().len(), 32);
     }
 
     #[test]
     fn insert_then_search_over_wire() {
-        for cfg in both_cores() {
-            let handle = serve(fixture_db(0), "127.0.0.1:0", cfg).unwrap();
-            let addr = handle.addr();
-            for i in 0..10u64 {
-                let resp = call(
-                    addr,
-                    &Request::Insert {
-                        collection: "docs".into(),
-                        key: i,
-                        vector: vec![i as f32, 0.0, 0.0],
-                        attrs: vec![],
-                    },
-                );
-                assert_eq!(resp, Response::Done);
-            }
+        let handle = serve(fixture_db(0), "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let addr = handle.addr();
+        for i in 0..10u64 {
             let resp = call(
                 addr,
-                &Request::Delete {
+                &Request::Insert {
                     collection: "docs".into(),
-                    key: 3,
+                    key: i,
+                    vector: vec![i as f32, 0.0, 0.0],
+                    attrs: vec![],
                 },
             );
             assert_eq!(resp, Response::Done);
-            match call(
-                addr,
-                &Request::Search {
-                    collection: "docs".into(),
-                    k: 1,
-                    params: SearchParams::default(),
-                    query: vec![3.1, 0.0, 0.0],
-                },
-            ) {
-                Response::Hits(hits) => assert_ne!(hits[0].key, 3, "deleted key must not surface"),
-                other => panic!("expected hits, got {other:?}"),
-            }
-            handle.shutdown();
         }
+        let resp = call(
+            addr,
+            &Request::Delete {
+                collection: "docs".into(),
+                key: 3,
+            },
+        );
+        assert_eq!(resp, Response::Done);
+        match call(
+            addr,
+            &Request::Search {
+                collection: "docs".into(),
+                k: 1,
+                params: SearchParams::default(),
+                query: vec![3.1, 0.0, 0.0],
+            },
+        ) {
+            Response::Hits(hits) => assert_ne!(hits[0].key, 3, "deleted key must not surface"),
+            other => panic!("expected hits, got {other:?}"),
+        }
+        handle.shutdown();
     }
 
     #[test]
     fn corrupt_frame_answered_with_protocol_error() {
-        for cfg in both_cores() {
-            let handle = serve(fixture_db(4), "127.0.0.1:0", cfg).unwrap();
-            let mut conn =
-                TcpStream::connect_timeout(&handle.addr(), Duration::from_secs(1)).unwrap();
-            conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
-            let mut framed = Vec::new();
-            wire::write_frame(&mut framed, &Request::Ping.encode()).unwrap();
-            *framed.last_mut().unwrap() ^= 0xFF; // flip a payload byte -> CRC mismatch
-            use std::io::Write;
-            conn.write_all(&framed).unwrap();
-            let payload = wire::read_frame(&mut conn, wire::MAX_FRAME)
-                .unwrap()
-                .unwrap();
-            match Response::decode(&payload).unwrap() {
-                Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
-                other => panic!("expected protocol error, got {other:?}"),
-            }
-            assert_eq!(handle.stats().protocol_errors, 1);
-            handle.shutdown();
+        let handle = serve(fixture_db(4), "127.0.0.1:0", ServerConfig::default()).unwrap();
+        let mut conn = TcpStream::connect_timeout(&handle.addr(), Duration::from_secs(1)).unwrap();
+        conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+        let mut framed = Vec::new();
+        wire::write_frame(&mut framed, &Request::Ping.encode()).unwrap();
+        *framed.last_mut().unwrap() ^= 0xFF; // flip a payload byte -> CRC mismatch
+        use std::io::Write;
+        conn.write_all(&framed).unwrap();
+        let payload = wire::read_frame(&mut conn, wire::MAX_FRAME)
+            .unwrap()
+            .unwrap();
+        match Response::decode(&payload).unwrap() {
+            Response::Error { code, .. } => assert_eq!(code, ErrorCode::Protocol),
+            other => panic!("expected protocol error, got {other:?}"),
         }
+        assert_eq!(handle.stats().protocol_errors, 1);
+        handle.shutdown();
     }
 
     #[test]
@@ -2126,15 +1845,14 @@ mod tests {
             Lane::Bulk
         );
         let mut lanes = Lanes::default();
-        let (tx, _rx) = mpsc::channel();
         lanes.bulk.push_back(Job {
             request: Request::Ping,
-            reply: Reply::Channel(tx.clone()),
+            reply: Reply { token: 0, seq: 0 },
             enqueued: Instant::now(),
         });
         lanes.interactive.push_back(Job {
             request: Request::Shutdown,
-            reply: Reply::Channel(tx),
+            reply: Reply { token: 0, seq: 1 },
             enqueued: Instant::now(),
         });
         let first = lanes.pop().unwrap();

@@ -103,7 +103,6 @@ fn sample_responses() -> Vec<Response> {
             qps: 4200,
             p50_us: 512,
             p99_us: 8192,
-            event_loop: true,
             merges: 7,
             buffered: 130,
             rebuilds_in_flight: 1,
@@ -158,6 +157,17 @@ fn every_message_type_roundtrips_through_framing() {
             .expect("frame present");
         assert_eq!(Response::decode(&payload).unwrap(), resp);
     }
+    // Servers that ran the retired thread-per-connection core sent 0 in
+    // the connection-core byte (opcode + 15 u64 counters in); their
+    // stats payloads must still decode.
+    let stats = sample_responses()
+        .into_iter()
+        .find(|r| matches!(r, Response::ServerStats(_)))
+        .unwrap();
+    let mut payload = stats.encode();
+    assert_eq!(payload[1 + 15 * 8], 1, "the slot carries 1 today");
+    payload[1 + 15 * 8] = 0;
+    assert_eq!(Response::decode(&payload).unwrap(), stats);
 }
 
 #[test]
@@ -315,7 +325,7 @@ fn clean_disconnect_mid_frame_does_not_wedge_server() {
     handle.shutdown();
 }
 
-/// Slow-loris defense, both connection cores: hundreds of connections
+/// Slow-loris defense: hundreds of connections
 /// that trickle a partial frame one byte at a time (or send nothing at
 /// all) must not block real clients, and the frame/idle timeouts must
 /// reap every one of them.

@@ -82,13 +82,8 @@ fn main() -> vdb_core::Result<()> {
         stats.reaped,
     );
     println!(
-        "latency p50 {} us, p99 {} us at {} qps over the {} core (lanes: {} interactive / {} bulk queued)",
-        stats.p50_us,
-        stats.p99_us,
-        stats.qps,
-        if stats.event_loop { "event-loop" } else { "legacy" },
-        stats.interactive_depth,
-        stats.bulk_depth,
+        "latency p50 {} us, p99 {} us at {} qps (lanes: {} interactive / {} bulk queued)",
+        stats.p50_us, stats.p99_us, stats.qps, stats.interactive_depth, stats.bulk_depth,
     );
     client.shutdown_server()?;
     println!("asked the server to shut down");

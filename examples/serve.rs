@@ -32,8 +32,7 @@ fn main() -> vdb_core::Result<()> {
     // new arrivals get an immediate BUSY instead of unbounded queueing.
     // Concurrent single-query searches coalesce into batched calls
     // automatically. Collections listed in `rate_limits` are throttled
-    // by per-collection token buckets; set `VDB_SERVER_EVENTLOOP=0` to
-    // fall back to thread-per-connection readers.
+    // by per-collection token buckets.
     let cfg = ServerConfig::default();
     let handle = serve(db, addr.as_str(), cfg)?;
     println!("serving on {}", handle.addr());

@@ -166,13 +166,15 @@ fn lsn_rules_skip_duplicates_and_refuse_gaps() {
 /// or in the shipped stream — afterwards the two nodes must hold
 /// bit-identical collection state (same keys, same f32 bits, same
 /// attributes, same LSN).
-fn bootstrap_during_writes(event_loop: Option<bool>) {
-    let cfg = ServerConfig {
-        event_loop,
-        ..ServerConfig::default()
-    };
-    let primary = serve(fresh_db("docs"), "127.0.0.1:0", cfg.clone()).unwrap();
-    let replica = serve(Vdbms::new(SystemProfile::MostlyVector), "127.0.0.1:0", cfg).unwrap();
+#[test]
+fn replica_bootstrap_during_writes_is_bit_identical() {
+    let primary = serve(fresh_db("docs"), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let replica = serve(
+        Vdbms::new(SystemProfile::MostlyVector),
+        "127.0.0.1:0",
+        ServerConfig::default(),
+    )
+    .unwrap();
     let primary_client = Client::connect(primary.addr()).unwrap();
 
     // Seed some pre-attach history.
@@ -257,16 +259,6 @@ fn bootstrap_during_writes(event_loop: Option<bool>) {
         assert_eq!(p.get_attrs(key), r.get_attrs(key), "attrs diverged: {key}");
     }
     assert_eq!(p.replication_lsn(), r.replication_lsn());
-}
-
-#[test]
-fn replica_bootstrap_during_writes_is_bit_identical_event_loop() {
-    bootstrap_during_writes(Some(true));
-}
-
-#[test]
-fn replica_bootstrap_during_writes_is_bit_identical_legacy_core() {
-    bootstrap_during_writes(Some(false));
 }
 
 /// A write sent to a non-primary node answers `Redirect` with the

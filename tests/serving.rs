@@ -5,7 +5,7 @@
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vdb::{CollectionSchema, IndexSpec, SystemProfile, Vdbms, VqlOutput};
+use vdb::{CollectionSchema, IndexSpec, SearchHit, SystemProfile, Vdbms, VqlOutput};
 use vdb_core::{dataset, FlatIndex, Metric, Rng, SearchParams, VectorIndex, Vectors};
 use vdb_distributed::{
     serve_index, DistributedConfig, DistributedIndex, RemoteShard, RemoteShardConfig, ShardHandle,
@@ -215,47 +215,28 @@ fn call_raw(addr: std::net::SocketAddr, req: Request) -> Response {
     Response::decode(&payload).unwrap()
 }
 
-/// The readiness-polling event loop and the legacy thread-per-connection
-/// readers must be pure transport swaps: the same fixture and the same
-/// queries produce bit-identical hits under both cores.
+/// The transport adds nothing to an answer: on the same fixture, served
+/// searches return exactly the hits (keys and distance bits) of an
+/// in-process `Collection::search`.
 #[test]
-fn event_loop_and_legacy_serve_bit_identical_results() {
-    let mut per_core: Vec<Vec<Vec<(u64, u32)>>> = Vec::new();
-    for mode in [Some(true), Some(false)] {
-        let cfg = ServerConfig {
-            event_loop: mode,
-            ..ServerConfig::default()
-        };
-        let handle = serve(fixture_db(128, 4), "127.0.0.1:0", cfg).unwrap();
-        assert_eq!(
-            handle.stats().event_loop,
-            cfg!(unix) && mode == Some(true),
-            "snapshot must report which connection core is running"
-        );
-        let client = Client::connect(handle.addr()).unwrap();
-        let mut results = Vec::new();
-        for q in 0..32u64 {
-            let hits = client
-                .search(
-                    "docs",
-                    &[(q * 3 % 128) as f32 + 0.4, 0.25, 0.0, 0.0],
-                    5,
-                    &SearchParams::default(),
-                )
-                .unwrap();
-            results.push(
-                hits.iter()
-                    .map(|h| (h.key, h.dist.to_bits()))
-                    .collect::<Vec<_>>(),
-            );
-        }
-        per_core.push(results);
-        handle.shutdown();
+fn served_search_is_bit_identical_to_in_process() {
+    let reference = fixture_db(128, 4);
+    let docs = reference.collection("docs").unwrap();
+    let handle = serve(fixture_db(128, 4), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let client = Client::connect(handle.addr()).unwrap();
+    let bits = |hits: &[SearchHit]| {
+        hits.iter()
+            .map(|h| (h.key, h.dist.to_bits()))
+            .collect::<Vec<_>>()
+    };
+    for q in 0..32u64 {
+        let query = [(q * 3 % 128) as f32 + 0.4, 0.25, 0.0, 0.0];
+        let params = SearchParams::default();
+        let served = client.search("docs", &query, 5, &params).unwrap();
+        let local = docs.search(&query, 5, &params).unwrap();
+        assert_eq!(bits(&served), bits(&local), "query {q}");
     }
-    assert_eq!(
-        per_core[0], per_core[1],
-        "event loop and legacy readers must return bit-identical hits"
-    );
+    handle.shutdown();
 }
 
 /// The bulk lane has its own, smaller bound: with the single worker
@@ -437,7 +418,6 @@ fn metrics_snapshot_reports_latency_qps_and_gauges() {
         s.open_connections + s.reaped,
         "accepted = open + closed on an idle server (no client hangups)"
     );
-    assert_eq!(s.event_loop, handle.stats().event_loop);
     assert_eq!(s.busy, 0);
     assert_eq!(s.deadline_expired, 0);
     handle.shutdown();
@@ -614,118 +594,100 @@ fn vql_keys(client: &Client, statement: &str) -> Vec<u64> {
     }
 }
 
-/// VQL reads run under the shared lock on both connection cores: two
-/// connections search with predicates concurrently and get exact
-/// answers, and a search completes while another reader holds the lock.
+/// VQL reads run under the shared lock: two connections search with
+/// predicates concurrently and get exact answers, and a search completes
+/// while another reader holds the lock.
 #[test]
 fn concurrent_vql_searches_with_predicates_share_the_read_lock() {
-    for event_loop in [Some(true), Some(false)] {
-        let cfg = ServerConfig {
-            event_loop,
-            ..ServerConfig::default()
-        };
-        let handle = serve(priced_db(300), "127.0.0.1:0", cfg).unwrap();
-        let clients = [impatient_client(&handle), impatient_client(&handle)];
-        std::thread::scope(|s| {
-            for (c, client) in clients.iter().enumerate() {
-                s.spawn(move || {
-                    for i in 0..40u64 {
-                        let t = (i * 7 + c as u64 * 13) % 290;
-                        // Nearest rows to t + 0.3 priced at least t + 1.
-                        let stmt = format!(
-                            "SEARCH docs K 3 NEAR [{}.3, 0, 0, 0] WHERE price >= {}",
-                            t,
-                            t + 1
-                        );
-                        assert_eq!(vql_keys(client, &stmt), vec![t + 1, t + 2, t + 3]);
-                        let stmt = format!(
-                            "SEARCH docs K 5 NEAR [{t}, 0, 0, 0] WHERE price BETWEEN {} AND {}",
-                            t.saturating_sub(1),
-                            t + 1
-                        );
-                        let mut want: Vec<u64> = (t.saturating_sub(1)..=t + 1).collect();
-                        want.sort_by_key(|&k| (k.abs_diff(t), k));
-                        assert_eq!(vql_keys(client, &stmt), want);
-                    }
-                });
-            }
-        });
-        // Another reader holds the database: a VQL read still answers.
-        let keys = handle.with_db(|_| {
-            vql_keys(
-                &clients[0],
-                "SEARCH docs K 2 NEAR [10, 0, 0, 0] WHERE price < 10",
-            )
-        });
-        assert_eq!(keys, vec![9, 8]);
-        handle.shutdown();
-    }
+    let handle = serve(priced_db(300), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let clients = [impatient_client(&handle), impatient_client(&handle)];
+    std::thread::scope(|s| {
+        for (c, client) in clients.iter().enumerate() {
+            s.spawn(move || {
+                for i in 0..40u64 {
+                    let t = (i * 7 + c as u64 * 13) % 290;
+                    // Nearest rows to t + 0.3 priced at least t + 1.
+                    let stmt = format!(
+                        "SEARCH docs K 3 NEAR [{}.3, 0, 0, 0] WHERE price >= {}",
+                        t,
+                        t + 1
+                    );
+                    assert_eq!(vql_keys(client, &stmt), vec![t + 1, t + 2, t + 3]);
+                    let stmt = format!(
+                        "SEARCH docs K 5 NEAR [{t}, 0, 0, 0] WHERE price BETWEEN {} AND {}",
+                        t.saturating_sub(1),
+                        t + 1
+                    );
+                    let mut want: Vec<u64> = (t.saturating_sub(1)..=t + 1).collect();
+                    want.sort_by_key(|&k| (k.abs_diff(t), k));
+                    assert_eq!(vql_keys(client, &stmt), want);
+                }
+            });
+        }
+    });
+    // Another reader holds the database: a VQL read still answers.
+    let keys = handle.with_db(|_| {
+        vql_keys(
+            &clients[0],
+            "SEARCH docs K 2 NEAR [10, 0, 0, 0] WHERE price < 10",
+        )
+    });
+    assert_eq!(keys, vec![9, 8]);
+    handle.shutdown();
 }
 
 /// VQL writes still take the exclusive lock, and what they change is
 /// visible to the next VQL search.
 #[test]
 fn vql_writes_take_the_write_lock_and_are_visible_to_the_next_search() {
-    for event_loop in [Some(true), Some(false)] {
-        let cfg = ServerConfig {
-            event_loop,
-            ..ServerConfig::default()
-        };
-        let handle = serve(priced_db(50), "127.0.0.1:0", cfg).unwrap();
-        let client = Arc::new(impatient_client(&handle));
-        let search = "SEARCH docs K 2 NEAR [100, 0, 0, 0] WHERE price > 40";
-        assert_eq!(vql_keys(&client, search), vec![49, 48]);
+    let handle = serve(priced_db(50), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let client = Arc::new(impatient_client(&handle));
+    let search = "SEARCH docs K 2 NEAR [100, 0, 0, 0] WHERE price > 40";
+    assert_eq!(vql_keys(&client, search), vec![49, 48]);
 
-        // While a reader holds the database the insert waits.
-        let (tx, rx) = std::sync::mpsc::channel();
-        let writer = handle.with_db(|_| {
-            let client = client.clone();
-            let writer = std::thread::spawn(move || {
-                tx.send(client.vql("INSERT INTO docs KEY 99 VALUES [99, 0, 0, 0] SET price = 99"))
-                    .unwrap()
-            });
-            assert!(
-                rx.recv_timeout(Duration::from_millis(300)).is_err(),
-                "a VQL INSERT must wait for the exclusive lock"
-            );
-            writer
+    // While a reader holds the database the insert waits.
+    let (tx, rx) = std::sync::mpsc::channel();
+    let writer = handle.with_db(|_| {
+        let client = client.clone();
+        let writer = std::thread::spawn(move || {
+            tx.send(client.vql("INSERT INTO docs KEY 99 VALUES [99, 0, 0, 0] SET price = 99"))
+                .unwrap()
         });
-        writer.join().unwrap();
-        let inserted = rx.recv_timeout(Duration::from_secs(5)).unwrap();
-        assert!(matches!(inserted, Ok(VqlOutput::Done)), "{inserted:?}");
-        assert_eq!(vql_keys(&client, search), vec![99, 49]);
+        assert!(
+            rx.recv_timeout(Duration::from_millis(300)).is_err(),
+            "a VQL INSERT must wait for the exclusive lock"
+        );
+        writer
+    });
+    writer.join().unwrap();
+    let inserted = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+    assert!(matches!(inserted, Ok(VqlOutput::Done)), "{inserted:?}");
+    assert_eq!(vql_keys(&client, search), vec![99, 49]);
 
-        assert!(matches!(
-            client.vql("DELETE FROM docs KEY 99").unwrap(),
-            VqlOutput::Done
-        ));
-        assert_eq!(vql_keys(&client, search), vec![49, 48]);
-        match client.vql("COUNT docs").unwrap() {
-            VqlOutput::Count(n) => assert_eq!(n, 50),
-            other => panic!("expected count, got {other:?}"),
-        }
-        handle.shutdown();
+    assert!(matches!(
+        client.vql("DELETE FROM docs KEY 99").unwrap(),
+        VqlOutput::Done
+    ));
+    assert_eq!(vql_keys(&client, search), vec![49, 48]);
+    match client.vql("COUNT docs").unwrap() {
+        VqlOutput::Count(n) => assert_eq!(n, 50),
+        other => panic!("expected count, got {other:?}"),
     }
+    handle.shutdown();
 }
 
 /// A malformed statement is answered before any lock is taken: it comes
 /// back while the database is held exclusively.
 #[test]
 fn vql_parse_error_is_answered_without_taking_a_lock() {
-    for event_loop in [Some(true), Some(false)] {
-        let cfg = ServerConfig {
-            event_loop,
-            ..ServerConfig::default()
-        };
-        let handle = serve(priced_db(10), "127.0.0.1:0", cfg).unwrap();
-        let client = impatient_client(&handle);
-        for bad in ["FROB docs", "SEARCH docs K 1 NEAR [1, 0, 0, 0] WHERE"] {
-            let answer = handle.with_db_mut(|_| client.vql(bad));
-            assert!(
-                matches!(answer, Err(vdb_core::Error::ParseAt { .. })),
-                "{bad}: {answer:?}"
-            );
-        }
-        handle.shutdown();
+    let handle = serve(priced_db(10), "127.0.0.1:0", ServerConfig::default()).unwrap();
+    let client = impatient_client(&handle);
+    for bad in ["FROB docs", "SEARCH docs K 1 NEAR [1, 0, 0, 0] WHERE"] {
+        let answer = handle.with_db_mut(|_| client.vql(bad));
+        assert!(
+            matches!(answer, Err(vdb_core::Error::ParseAt { .. })),
+            "{bad}: {answer:?}"
+        );
     }
+    handle.shutdown();
 }
