@@ -363,6 +363,103 @@ impl ProductQuantizer {
         }
     }
 
+    /// The query-independent part of residual ADC (IVFADC's precomputed
+    /// tables, Jégou et al., TPAMI 2011). A code `r` of the residual
+    /// against coarse centroid `c` has, per subspace `s`,
+    /// `‖q_s − c_s − r_s‖² = ‖q_s − c_s‖² + (‖r_s‖² + 2⟨c_s, r_s⟩) − 2⟨q_s, r_s⟩`,
+    /// and the middle term involves no query. Returns it for every
+    /// centroid, subspace and codeword — `centroids.len() × m × ksub`
+    /// floats, one dispatched `dot_batch` per (centroid, subspace).
+    pub fn residual_terms(&self, centroids: &Vectors) -> Result<Vec<f32>> {
+        if centroids.dim() != self.dim {
+            return Err(Error::DimensionMismatch {
+                expected: self.dim,
+                actual: centroids.dim(),
+            });
+        }
+        let (m, ksub, dsub) = (self.m, self.ksub, self.dsub);
+        // ‖r_s‖² of every codeword, shared by all centroids.
+        let norms: Vec<f32> = self
+            .codebooks
+            .chunks_exact(dsub)
+            .map(|r| kernel::dot(r, r))
+            .collect();
+        let mut terms = vec![0.0f32; centroids.len() * m * ksub];
+        for (cent, block) in centroids.iter().zip(terms.chunks_exact_mut(m * ksub)) {
+            let subspaces = cent
+                .chunks_exact(dsub)
+                .zip(self.codebooks.chunks_exact(ksub * dsub));
+            for ((row, norms), (cs, rows)) in block
+                .chunks_exact_mut(ksub)
+                .zip(norms.chunks_exact(ksub))
+                .zip(subspaces)
+            {
+                kernel::dot_batch(cs, rows, dsub, row);
+                for (t, &nrm) in row.iter_mut().zip(norms) {
+                    *t = nrm + 2.0 * *t;
+                }
+            }
+        }
+        Ok(terms)
+    }
+
+    /// Rebuild `out` as the query's part of residual ADC, `−2⟨q_s, r_s⟩`
+    /// per subspace and codeword (`m × ksub`, reusing the allocation) —
+    /// the cost of one plain ADC table. See
+    /// [`ProductQuantizer::residual_terms`].
+    pub fn query_terms_into(&self, query: &[f32], out: &mut Vec<f32>) -> Result<()> {
+        if query.len() != self.dim {
+            return Err(Error::DimensionMismatch {
+                expected: self.dim,
+                actual: query.len(),
+            });
+        }
+        let (ksub, dsub) = (self.ksub, self.dsub);
+        out.clear();
+        out.resize(self.m * ksub, 0.0);
+        let subspaces = query
+            .chunks_exact(dsub)
+            .zip(self.codebooks.chunks_exact(ksub * dsub));
+        for (row, (qs, rows)) in out.chunks_exact_mut(ksub).zip(subspaces) {
+            kernel::dot_batch(qs, rows, dsub, row);
+            for t in row.iter_mut() {
+                *t *= -2.0;
+            }
+        }
+        Ok(())
+    }
+
+    /// Append to `out` the `m × ksub` ADC table of `query` against codes of
+    /// residuals to `centroid`, assembled from the centroid's block of
+    /// [`ProductQuantizer::residual_terms`] and the query's
+    /// [`ProductQuantizer::query_terms_into`]: `‖q_s − c_s‖²` per row plus
+    /// one elementwise add. It equals the [`ProductQuantizer::adc_table`]
+    /// of `query − centroid` up to float rounding.
+    pub fn extend_residual_table(
+        &self,
+        query: &[f32],
+        centroid: &[f32],
+        centroid_terms: &[f32],
+        query_terms: &[f32],
+        out: &mut Vec<f32>,
+    ) {
+        let (ksub, dsub) = (self.ksub, self.dsub);
+        // The zips below would silently truncate on a length mismatch.
+        assert_eq!(query.len(), self.dim, "query dimension");
+        assert_eq!(centroid.len(), self.dim, "centroid dimension");
+        assert_eq!(centroid_terms.len(), self.m * ksub, "centroid terms");
+        assert_eq!(query_terms.len(), self.m * ksub, "query terms");
+        out.reserve(self.m * ksub);
+        let rows = centroid_terms
+            .chunks_exact(ksub)
+            .zip(query_terms.chunks_exact(ksub));
+        let subspaces = query.chunks_exact(dsub).zip(centroid.chunks_exact(dsub));
+        for ((ct, qt), (qs, cs)) in rows.zip(subspaces) {
+            let base = kernel::l2_sq(qs, cs);
+            out.extend(ct.iter().zip(qt).map(|(&c, &q)| base + c + q));
+        }
+    }
+
     /// Mean squared reconstruction error over a dataset (OPQ's objective).
     pub fn reconstruction_error(&self, data: &Vectors) -> f64 {
         if data.is_empty() {

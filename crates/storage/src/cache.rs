@@ -28,7 +28,10 @@
 //! [`PageCache::prefetch_read`]; an in-flight table keyed by page id makes
 //! a concurrent demand read *wait* for the already-issued I/O instead of
 //! duplicating it, which is exactly the I/O/compute overlap the async
-//! disk pipeline exists for.
+//! disk pipeline exists for. That overlap only pays when a read costs
+//! more than handing it to a worker, so the cache also times every disk
+//! read it performs ([`PageCache::read_cost_ns`]) and tells the indexes
+//! whether to prefetch at all ([`PageCache::prefetch_pays`]).
 //!
 //! Counters are plain atomics outside the page-table lock, so
 //! [`PageCache::stats`] is a cheap wait-free snapshot safe to poll from
@@ -39,6 +42,7 @@ use crate::page::{Page, PageId};
 use std::collections::{HashMap, HashSet};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Condvar};
+use std::time::Instant;
 use vdb_core::error::Result;
 use vdb_core::sync::Mutex;
 
@@ -163,7 +167,23 @@ pub struct PageCache {
     prefetched: AtomicU64,
     admission_rejects: AtomicU64,
     pinned_count: AtomicU64,
+    /// Running estimate of one disk read's wall time (see
+    /// [`PageCache::read_cost_ns`]); 0 until the first read.
+    read_cost_ns: AtomicU64,
 }
+
+/// Reads measured at or above this cost make asynchronous prefetch pay
+/// ([`PageCache::prefetch_pays`]). Handing a page to the
+/// [`crate::prefetch`] pool costs a queue lock, a worker wake-up and, for
+/// the demand read that then finds the page in flight, a condvar wait.
+/// Measured on a 2-core x86-64 host (EXPERIMENTS.md §D1 sweep), that is
+/// 2.1 µs per request with one searcher and 3.6 µs of core time with two;
+/// spread over the demand reads the lookahead avoids, 1.6 and 5.8 µs per
+/// avoided read — the read cost at which prefetch breaks even. The bar
+/// sits just above the contended figure. Reads the OS page cache serves
+/// measure 0.5–1.1 µs there and stay far below it; device reads (tens of
+/// µs and up) clear it.
+pub const PREFETCH_MIN_READ_NS: u64 = 6_000;
 
 impl PageCache {
     /// Wrap `file` with a cache holding at most `budget_pages` evictable
@@ -189,7 +209,46 @@ impl PageCache {
             prefetched: AtomicU64::new(0),
             admission_rejects: AtomicU64::new(0),
             pinned_count: AtomicU64::new(0),
+            read_cost_ns: AtomicU64::new(0),
         }
+    }
+
+    /// Read `id` from the file, folding the read's wall time into the
+    /// read-cost estimate. Every disk read the cache performs — demand
+    /// miss, prefetch, pin — goes through here.
+    fn read_from_disk(&self, id: PageId) -> Result<Page> {
+        let started = Instant::now();
+        let page = self.file.read_page(id)?;
+        let sample = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
+        // EWMA with weight 1/8; the first sample seeds it. A sample counts
+        // for at most 8× the current estimate, so one read that lost its
+        // core to the scheduler cannot swing the estimate by itself, while
+        // a device that really got slower moves it within a few reads.
+        let _ = self
+            .read_cost_ns
+            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
+                Some(if old == 0 {
+                    sample.max(1)
+                } else {
+                    old - old / 8 + sample.min(old.saturating_mul(8)) / 8
+                })
+            });
+        Ok(page)
+    }
+
+    /// Running estimate of one disk read's wall time in nanoseconds, over
+    /// every read this cache performed (demand misses, prefetches, pins);
+    /// 0 before the first. Reads served by the OS page cache measure
+    /// about 1 µs, a simulated or real NVMe device tens to hundreds.
+    pub fn read_cost_ns(&self) -> u64 {
+        self.read_cost_ns.load(Ordering::Relaxed)
+    }
+
+    /// Whether reads cost enough that overlapping them with compute beats
+    /// the hand-off to the prefetch pool: `read_cost_ns() >=`
+    /// [`PREFETCH_MIN_READ_NS`]. False before any read was measured.
+    pub fn prefetch_pays(&self) -> bool {
+        self.read_cost_ns() >= PREFETCH_MIN_READ_NS
     }
 
     /// The underlying file.
@@ -333,7 +392,7 @@ impl PageCache {
             }
         }
         // Miss path: read outside the lock, then install.
-        let page = Arc::new(self.file.read_page(id)?);
+        let page = Arc::new(self.read_from_disk(id)?);
         let mut inner = self.inner.lock();
         self.install(&mut inner, id, &page, false);
         Ok(page)
@@ -358,7 +417,7 @@ impl PageCache {
                 return Ok(false);
             }
         }
-        let read = self.file.read_page(id);
+        let read = self.read_from_disk(id);
         let mut inner = self.inner.lock();
         inner.inflight.remove(&id);
         let result = match read {
@@ -417,7 +476,7 @@ impl PageCache {
                     continue;
                 }
             }
-            let page = Arc::new(self.file.read_page(id)?);
+            let page = Arc::new(self.read_from_disk(id)?);
             let mut inner = self.inner.lock();
             if inner.pinned.insert(id, page).is_none() {
                 self.pinned_count.fetch_add(1, Ordering::Relaxed);

@@ -9,6 +9,16 @@
 //! search actually expands it, so query latency approaches
 //! `max(io_stream, compute)` instead of `hops × (seek + compute)`.
 //!
+//! Overlap is not free: each request takes a queue lock and a worker
+//! wake-up, and the demand read that finds its page in flight waits on a
+//! condvar — a few µs of CPU on the cores the searches also run on. That
+//! buys time only when the read it hides costs more, so the indexes queue
+//! requests only while their cache reports
+//! [`PageCache::prefetch_pays`]: a read timed at or above
+//! [`crate::cache::PREFETCH_MIN_READ_NS`]. Reads served from the OS page
+//! cache (~1 µs) stay inline and the pool is never spawned; a real or
+//! simulated device (`VDB_SIM_READ_LAT_US`) opens the gate.
+//!
 //! # Design
 //!
 //! A small process-global pool of blocking reader threads drains a
