@@ -83,13 +83,10 @@ VDB_FORCE_SCALAR=1 cargo test -q --release -p vdb-core --test kernel_equivalence
 
 echo "== disk pipeline: equivalence under every lever combination =="
 # The disk-serving pipeline (DESIGN.md §12) must be invisible to search
-# results: the equivalence suite already flips prefetch and layout per
-# index inside each test. Prefetch is gated on the measured read cost, so
-# the plain pass runs with the gate closed (page-cache-speed reads); the
-# simulated 100 µs device opens it, and the last pass pins the batched
-# rescoring kernels to the scalar fallback.
+# results: the equivalence suite compares packed against identity layouts
+# and cold against warm caches inside each test. The second pass pins the
+# batched rescoring kernels to the scalar fallback.
 cargo test -q --release --test disk_pipeline
-VDB_SIM_READ_LAT_US=100 cargo test -q --release --test disk_pipeline
 VDB_FORCE_SCALAR=1 cargo test -q --release --test disk_pipeline
 
 echo "== hybrid text + vector: fusion correctness, scalar kernels, merge modes =="

@@ -1,60 +1,28 @@
-//! D1 — the disk-serving pipeline under a tight memory budget.
+//! D1 — disk-resident serving under a tight memory budget.
 //!
 //! Serves DiskANN and SPANN at ~10% of the data size in cache and grids
-//! the two pipeline levers: BFS-packed layout (off/on, DiskANN) and
-//! asynchronous prefetch (off/on, both). A simulated per-page read
-//! latency (`VDB_SIM_READ_LAT_US`, set for the duration of the run)
-//! models an NVMe device, so the prefetch win — I/O overlapped with ADC
-//! scoring — is visible in wall-clock time even on a machine whose page
-//! reads would otherwise be served from the OS file cache in nanoseconds.
-//!
-//! Reported I/O is `disk_reads = misses + prefetched`: the prefetcher's
-//! reads are charged to the query stream that triggered them, so prefetch
-//! cannot "win" by hiding reads from the metric.
+//! the layout lever: identity vs BFS-packed record placement for DiskANN,
+//! beside SPANN's posting-list runs. Every read is a synchronous demand
+//! read, so `reads/q` (cache misses per query) is the whole I/O bill and
+//! `us/query` is what the host's page reads plus scoring cost.
 
 use crate::workload::{standard, GT_K};
 use crate::{fmt, print_table, time_queries, Scale};
 use vdb_core::index::{SearchParams, VectorIndex};
 use vdb_core::metric::Metric;
+use vdb_core::topk::Neighbor;
 use vdb_core::Result;
 use vdb_index_graph::{DiskAnnConfig, DiskAnnIndex, VamanaConfig, VamanaIndex};
 use vdb_index_table::{SpannConfig, SpannIndex};
-use vdb_storage::TempDir;
+use vdb_storage::{CacheStats, PageCache, TempDir};
 
-/// Simulated device latency per page read, in microseconds (roughly an
-/// NVMe random 4 KiB read).
-const SIM_READ_LAT_US: &str = "100";
-
-/// RAII guard: simulate device latency while the experiment runs, restore
-/// the previous state after (other experiments must not inherit it).
-struct SimLatency(Option<String>);
-
-impl SimLatency {
-    fn engage() -> Self {
-        let prev = std::env::var("VDB_SIM_READ_LAT_US").ok();
-        std::env::set_var("VDB_SIM_READ_LAT_US", SIM_READ_LAT_US);
-        SimLatency(prev)
-    }
-}
-
-impl Drop for SimLatency {
-    fn drop(&mut self) {
-        match &self.0 {
-            Some(prev) => std::env::set_var("VDB_SIM_READ_LAT_US", prev),
-            None => std::env::remove_var("VDB_SIM_READ_LAT_US"),
-        }
-    }
-}
-
-/// D1: prefetch × layout grid at a ~10% memory budget.
+/// D1: page layout at a ~10% memory budget.
 pub fn d1_disk_pipeline(scale: Scale) -> Result<()> {
     let w = standard(scale, 0xD1);
     let dir = TempDir::new("bench-d1")?;
     let params = SearchParams::default().with_beam_width(48).with_nprobe(4);
 
     // Build both DiskANN layouts from one Vamana graph, plus SPANN.
-    // (Build before engaging the simulated latency — it only models the
-    // serving path.)
     let vam = VamanaIndex::build(w.data.clone(), Metric::Euclidean, VamanaConfig::default())?;
     let mut cfg = DiskAnnConfig {
         pq_m: 16,
@@ -81,80 +49,55 @@ pub fn d1_disk_pipeline(scale: Scale) -> Result<()> {
     let budget = (data_pages / 10).max(1);
     let nq = w.queries.len() as f64;
 
-    let _lat = SimLatency::engage();
-    let mut rows = Vec::new();
-    let mut baseline: Option<Vec<Vec<vdb_core::topk::Neighbor>>> = None;
-    for (layout, path) in [("identity", &identity_path), ("packed", &packed_path)] {
-        for prefetch in [false, true] {
-            let idx = DiskAnnIndex::open(path, Metric::Euclidean, budget)?;
-            idx.set_prefetch(prefetch);
-            for q in w.queries.iter() {
-                idx.search(q, GT_K, &params)?;
-            }
-            idx.cache().reset_stats();
-            let (us, _, results) = time_queries(&w.queries, |q| {
-                idx.search(q, GT_K, &params).expect("search")
-            });
-            // The pipeline must be invisible to results: every cell of
-            // the grid returns exactly the baseline's neighbors.
-            match &baseline {
-                None => baseline = Some(results.clone()),
-                Some(base) => assert_eq!(base, &results, "pipeline changed results"),
-            }
-            let io = idx.cache().stats();
-            rows.push(vec![
-                "diskann".into(),
-                layout.into(),
-                if prefetch { "on" } else { "off" }.into(),
-                fmt(io.disk_reads() as f64 / nq, 1),
-                fmt(io.misses as f64 / nq, 1),
-                fmt(io.hit_ratio(), 3),
-                io.pinned_pages.to_string(),
-                fmt(w.gt.recall_batch(&results), 3),
-                fmt(us, 0),
-            ]);
-        }
-    }
-    let mut spann_baseline: Option<Vec<Vec<vdb_core::topk::Neighbor>>> = None;
-    for prefetch in [false, true] {
-        let idx = SpannIndex::open(&spann_path, Metric::Euclidean, budget)?;
-        idx.set_prefetch(prefetch);
+    // One warm pass, then a measured pass over the same queries.
+    let measure = |idx: &dyn VectorIndex, cache: &PageCache| {
         for q in w.queries.iter() {
-            idx.search(q, GT_K, &params)?;
+            idx.search(q, GT_K, &params).expect("search");
         }
-        idx.cache().reset_stats();
+        cache.reset_stats();
         let (us, _, results) = time_queries(&w.queries, |q| {
             idx.search(q, GT_K, &params).expect("search")
         });
-        match &spann_baseline {
-            None => spann_baseline = Some(results.clone()),
-            Some(base) => assert_eq!(base, &results, "pipeline changed results"),
-        }
-        let io = idx.cache().stats();
-        rows.push(vec![
-            "spann".into(),
-            "postings".into(),
-            if prefetch { "on" } else { "off" }.into(),
-            fmt(io.disk_reads() as f64 / nq, 1),
+        (us, cache.stats(), results)
+    };
+    let row = |index: &str, layout: &str, us: f64, io: CacheStats, results: &[Vec<Neighbor>]| {
+        vec![
+            index.into(),
+            layout.into(),
             fmt(io.misses as f64 / nq, 1),
             fmt(io.hit_ratio(), 3),
             io.pinned_pages.to_string(),
-            fmt(w.gt.recall_batch(&results), 3),
+            fmt(w.gt.recall_batch(results), 3),
             fmt(us, 0),
-        ]);
+        ]
+    };
+
+    let mut rows = Vec::new();
+    let mut baseline = None;
+    for (layout, path) in [("identity", &identity_path), ("packed", &packed_path)] {
+        let idx = DiskAnnIndex::open(path, Metric::Euclidean, budget)?;
+        let (us, io, results) = measure(&idx, idx.cache());
+        // Layout only permutes record placement: both return exactly the
+        // same neighbors.
+        match &baseline {
+            None => baseline = Some(results.clone()),
+            Some(base) => assert_eq!(base, &results, "layout changed results"),
+        }
+        rows.push(row("diskann", layout, us, io, &results));
     }
+    let idx = SpannIndex::open(&spann_path, Metric::Euclidean, budget)?;
+    let (us, io, results) = measure(&idx, idx.cache());
+    rows.push(row("spann", "postings", us, io, &results));
+
     print_table(
         &format!(
-            "D1: disk pipeline at ~10% memory budget ({budget} cache pages, \
-             {SIM_READ_LAT_US}us simulated page read, n={})",
+            "D1: disk layout at ~10% memory budget ({budget} cache pages, n={})",
             scale.n()
         ),
         &[
             "index",
             "layout",
-            "prefetch",
-            "disk_reads/q",
-            "stall_reads/q",
+            "reads/q",
             "hit_ratio",
             "pinned",
             "recall",
@@ -163,12 +106,9 @@ pub fn d1_disk_pipeline(scale: Scale) -> Result<()> {
         &rows,
     );
     println!(
-        "  disk_reads/q counts misses + prefetched (prefetch cannot hide I/O);\n  \
-         stall_reads/q counts only reads a query actually waited to start.\n  \
-         Expected shape: packed layout cuts disk_reads/q; prefetch leaves\n  \
-         disk_reads/q roughly unchanged but cuts us/query by overlapping the\n  \
-         simulated device latency with ADC scoring; recall identical everywhere\n  \
-         (the grid asserts bit-identical neighbor lists)."
+        "  reads/q counts cache misses: every one is a synchronous page read.\n  \
+         Expected shape: packed layout cuts reads/q against identity at\n  \
+         identical recall (the grid asserts bit-identical neighbor lists)."
     );
     Ok(())
 }

@@ -14,7 +14,7 @@
 //! the last once per query, and a cluster's table on the query's first
 //! touch costs `‖q − c‖²` plus one `m × ksub` add.
 //!
-//! Three disk-serving techniques keep that read stream fast (DESIGN.md
+//! Two disk-serving techniques keep that read stream short (DESIGN.md
 //! §12, experiment D1):
 //!
 //! - **Cache-aware layout** (`packed_layout`, on-disk layout version 1):
@@ -27,24 +27,14 @@
 //!   point's BFS neighborhood every query traverses — are pinned in the
 //!   [`PageCache`] outside the eviction budget. (Navigation centroids and
 //!   PQ codebooks are memory-resident fields by construction.)
-//! - **Cost-gated beam prefetch**: after each expansion the pages of the
-//!   few best frontier candidates — the nodes the beam will expand next —
-//!   are queued on the [`vdb_storage::prefetch`] worker pool, so their I/O
-//!   overlaps the ADC scoring of the current expansion. The lookahead is
-//!   bounded (not the whole frontier): most frontier entries are never
-//!   expanded, and prefetching them would multiply disk reads and churn
-//!   the cache for no overlap. It also runs only while the page cache
-//!   measures a read as costing more than the hand-off to a worker
-//!   ([`PageCache::prefetch_pays`]): a page the OS page cache returns in
-//!   ~1 µs is cheaper to read inline than to queue, wake a worker for,
-//!   and wait on. Prefetch only warms the cache — results are
-//!   bit-identical with it on or off, gated or not.
+//!
+//! Every expansion reads its page synchronously through the cache: a miss
+//! reads the page inline and installs it.
 
 use crate::vamana::VamanaIndex;
 use std::cmp::Reverse;
 use std::collections::VecDeque;
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use vdb_core::context::SearchContext;
 use vdb_core::error::{Error, Result};
@@ -55,7 +45,7 @@ use vdb_core::parallel::{clamp_threads, parallel_map_chunks, BuildOptions};
 use vdb_core::topk::Neighbor;
 use vdb_quant::{KMeans, KMeansConfig};
 use vdb_quant::{PqConfig, ProductQuantizer};
-use vdb_storage::{prefetch, Page, PageCache, PageId, PagedFile, PAGE_SIZE};
+use vdb_storage::{Page, PageCache, PageId, PagedFile, PAGE_SIZE};
 
 const MAGIC: u32 = 0x4449_534B; // "DISK"
 /// On-disk layout versions (header word 8). Version 0 is the original
@@ -64,12 +54,6 @@ const MAGIC: u32 = 0x4449_534B; // "DISK"
 /// stores a node→slot run between the code run and the data pages.
 const LAYOUT_IDENTITY: u32 = 0;
 const LAYOUT_PACKED: u32 = 1;
-
-/// How many of the best frontier candidates to prefetch after each
-/// expansion. Matches the default worker count of the prefetch pool: in
-/// steady state one read per worker is in flight while the current
-/// expansion's ADC batches run.
-const PREFETCH_LOOKAHEAD: usize = 4;
 
 /// Marks a coarse cluster whose ADC table the current query has not built.
 const NO_TABLE: u32 = u32::MAX;
@@ -148,10 +132,6 @@ pub struct DiskAnnConfig {
     /// Entry-region data pages pinned in the cache (skipped when the
     /// cache budget is zero, which models "no memory at all").
     pub hot_pages: usize,
-    /// Allow enqueueing frontier page reads on the async prefetch pool.
-    /// Reads are queued only while the cache measures them as slower than
-    /// the hand-off ([`PageCache::prefetch_pays`]).
-    pub prefetch: bool,
 }
 
 impl Default for DiskAnnConfig {
@@ -162,7 +142,6 @@ impl Default for DiskAnnConfig {
             cache_pages: 128,
             packed_layout: true,
             hot_pages: 4,
-            prefetch: true,
         }
     }
 }
@@ -189,7 +168,6 @@ pub struct DiskAnnIndex {
     cache: Arc<PageCache>,
     records_per_page: usize,
     data_start: u64,
-    prefetch: AtomicBool,
 }
 
 /// BFS order over the graph from `start`; unreachable nodes (if any)
@@ -448,7 +426,6 @@ impl DiskAnnIndex {
             cache,
             records_per_page,
             data_start,
-            prefetch: AtomicBool::new(cfg.prefetch),
         };
         idx.pin_hot_set(cfg.hot_pages)?;
         Ok(idx)
@@ -558,7 +535,6 @@ impl DiskAnnIndex {
             cache: Arc::new(PageCache::new(file, cache_pages)),
             records_per_page,
             data_start,
-            prefetch: AtomicBool::new(true),
         };
         idx.pin_hot_set(DiskAnnConfig::default().hot_pages)?;
         Ok(idx)
@@ -577,12 +553,6 @@ impl DiskAnnIndex {
         ids.extend((0..(hot as u64).min(data_pages)).map(|p| PageId(self.data_start + p)));
         self.cache.pin(ids)?;
         Ok(())
-    }
-
-    /// Toggle asynchronous frontier prefetch (results are identical
-    /// either way; only I/O timing changes).
-    pub fn set_prefetch(&self, enabled: bool) {
-        self.prefetch.store(enabled, Ordering::Relaxed);
     }
 
     /// The page cache (F7/D1 instrumentation).
@@ -662,7 +632,6 @@ impl DiskAnnIndex {
         let beam = params.beam_width.max(k);
         let m = self.pq.code_len();
         let ksub = self.pq.ksub();
-        let prefetch_on = self.prefetch.load(Ordering::Relaxed) && self.cache.prefetch_pays();
         // Residual codes need one ADC table per coarse cluster. Each is
         // assembled on the query's first touch of its cluster from the
         // index's precomputed terms and this query's terms (see
@@ -702,8 +671,9 @@ impl DiskAnnIndex {
             if ctx.bound_pool.is_full() && cand.dist > ctx.bound_pool.threshold() {
                 break;
             }
-            // Expand: one page read (usually already resident thanks to
-            // prefetch-on-push below) + exact rescoring via the kernels.
+            // Expand: one page read (often resident: the packed layout puts
+            // consecutive expansions on shared pages) + exact rescoring via
+            // the kernels.
             let dist = self.read_node_into(cand.id, query, &mut ctx.scratch, &mut ctx.ids)?;
             if filter.is_none_or(|f| f.accept(cand.id)) {
                 ctx.rerank.push(Neighbor::new(cand.id, dist));
@@ -747,28 +717,6 @@ impl DiskAnnIndex {
                     }
                 }
                 i = j;
-            }
-            if prefetch_on {
-                // Lookahead: queue page reads for the best few frontier
-                // candidates — the beam's next expansions — so their I/O
-                // runs while this iteration's scoring completes. Resident
-                // and in-flight pages are filtered inside `request`.
-                let mut best = [Neighbor::new(usize::MAX, f32::INFINITY); PREFETCH_LOOKAHEAD];
-                for Reverse(n) in ctx.frontier.iter() {
-                    if n.dist < best[PREFETCH_LOOKAHEAD - 1].dist {
-                        let mut at = PREFETCH_LOOKAHEAD - 1;
-                        best[at] = *n;
-                        while at > 0 && best[at].dist < best[at - 1].dist {
-                            best.swap(at, at - 1);
-                            at -= 1;
-                        }
-                    }
-                }
-                for n in best {
-                    if n.id != usize::MAX {
-                        prefetch::pool().request(&self.cache, self.page_of(n.id));
-                    }
-                }
             }
         }
         let mut out = ctx.rerank.drain_sorted();
@@ -928,7 +876,7 @@ mod tests {
         for q in queries.iter() {
             idx.search(q, 10, &params).unwrap();
         }
-        let reads = idx.cache().stats().disk_reads();
+        let reads = idx.cache().stats().misses;
         let per_query = reads as f64 / nq as f64;
         assert!(
             per_query < 100.0,

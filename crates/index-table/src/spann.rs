@@ -8,22 +8,14 @@
 //! centroid is within `(1 + ε)` of its nearest, trading disk space for
 //! fewer I/Os at a given recall.
 //!
-//! The disk pipeline (DESIGN.md §12) applies here too: once the probe set
-//! is ranked, *every* posting page the query will touch is known, so the
-//! scan keeps a sliding readahead window of page reads queued on the
-//! async prefetch pool — posting I/O overlaps with the scoring of earlier
-//! pages. (A bounded window rather than the whole probe set: flooding the
-//! pool would race the prefetcher against the scan for the same cache
-//! space and evict pages before they are consumed.) Like DiskANN's
-//! lookahead, the readahead runs only while the page cache measures reads
-//! as costing more than the hand-off to a worker
-//! ([`PageCache::prefetch_pays`]). Page-resident vectors
-//! are gathered into context scratch and scored through one
-//! `distance_batch` kernel call per page instead of per-float loops.
-//! Results are bit-identical with prefetch on or off.
+//! The probed posting lists are scanned page by page through the cache
+//! (DESIGN.md §12): a miss reads the page inline and installs it, and the
+//! cache's scan-resistant eviction keeps one query's sweep from flushing
+//! the pages other queries share. Page-resident vectors are gathered into
+//! context scratch and scored through one `distance_batch` kernel call
+//! per page instead of per-float loops.
 
 use std::path::Path;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use vdb_core::context::SearchContext;
 use vdb_core::error::{Error, Result};
@@ -34,22 +26,9 @@ use vdb_core::parallel::{clamp_threads, parallel_map_chunks, BuildOptions};
 use vdb_core::topk::Neighbor;
 use vdb_core::vector::Vectors;
 use vdb_quant::{KMeans, KMeansConfig};
-use vdb_storage::{prefetch, Page, PageCache, PageId, PagedFile, PAGE_SIZE};
+use vdb_storage::{Page, PageCache, PageId, PagedFile, PAGE_SIZE};
 
 const MAGIC: u32 = 0x5350_414E; // "SPAN"
-
-/// Readahead window: pages kept in flight ahead of the scan position.
-/// Twice the prefetch pool's default worker count — enough to keep every
-/// worker busy, small enough that prefetched pages cannot be evicted
-/// before the scan reaches them.
-const READAHEAD_WINDOW: usize = 8;
-
-/// Per-query scratch in the [`SearchContext`] extension slot: the
-/// flattened `(page, records)` sequence of the probed posting lists.
-#[derive(Debug, Default)]
-struct SpannScratch {
-    pages: Vec<(PageId, u32)>,
-}
 
 /// Build-time configuration.
 #[derive(Debug, Clone)]
@@ -65,10 +44,6 @@ pub struct SpannConfig {
     pub seed: u64,
     /// Page-cache budget (pages) for searches.
     pub cache_pages: usize,
-    /// Allow queueing probed posting pages on the async prefetch pool.
-    /// Pages are queued only while the cache measures reads as slower
-    /// than the hand-off ([`PageCache::prefetch_pays`]).
-    pub prefetch: bool,
 }
 
 impl SpannConfig {
@@ -80,7 +55,6 @@ impl SpannConfig {
             train_iters: 15,
             seed: 0x5AA5,
             cache_pages: 64,
-            prefetch: true,
         }
     }
 }
@@ -97,7 +71,6 @@ pub struct SpannIndex {
     records_per_page: usize,
     /// Total records including closure replicas.
     replicated: usize,
-    prefetch: AtomicBool,
 }
 
 impl SpannIndex {
@@ -260,11 +233,12 @@ impl SpannIndex {
             cache: Arc::new(PageCache::new(file, cfg.cache_pages)),
             records_per_page,
             replicated,
-            prefetch: AtomicBool::new(cfg.prefetch),
         })
     }
 
-    /// Reopen an index previously built at `path`.
+    /// Reopen an index previously built at `path`. Every posting run must
+    /// lie inside the file's data pages, so a damaged or truncated file is
+    /// an error here rather than a panic or a failed read at query time.
     pub fn open<P: AsRef<Path>>(path: P, metric: Metric, cache_pages: usize) -> Result<Self> {
         let file = Arc::new(PagedFile::open(path)?);
         let header = file.read_page(vdb_storage::PageId(0))?;
@@ -277,23 +251,36 @@ impl SpannIndex {
         if dim == 0 || nlist == 0 {
             return Err(Error::Corrupt("bad SPANN header".into()));
         }
+        let record_bytes = 4 + dim * 4;
+        if record_bytes > PAGE_SIZE {
+            return Err(Error::Corrupt("bad SPANN header".into()));
+        }
         metric.validate(dim)?;
         let centroid_pages = (nlist * dim * 4).div_ceil(PAGE_SIZE).max(1) as u64;
         let meta_pages = (nlist * 12).div_ceil(PAGE_SIZE).max(1) as u64;
         let cents = read_f32_run(&file, 1, nlist * dim)?;
         let centroids = Vectors::from_flat(dim, cents)?;
         let meta_buf = read_byte_run(&file, 1 + centroid_pages, nlist * 12)?;
+        let records_per_page = PAGE_SIZE / record_bytes;
+        let data_start = 1 + centroid_pages + meta_pages;
         let mut postings = Vec::with_capacity(nlist);
         let mut replicated = 0usize;
         for i in 0..nlist {
             let b = &meta_buf[i * 12..(i + 1) * 12];
             let start = u64::from_le_bytes(b[0..8].try_into().expect("8 bytes"));
             let count = u32::from_le_bytes(b[8..12].try_into().expect("4 bytes"));
+            let pages = (count as u64).div_ceil(records_per_page as u64);
+            let in_file = start
+                .checked_add(pages)
+                .is_some_and(|end| start >= data_start && end <= file.num_pages());
+            if !in_file {
+                return Err(Error::Corrupt(format!(
+                    "SPANN posting list {i} runs outside the file"
+                )));
+            }
             replicated += count as usize;
             postings.push((start, count));
         }
-        let _ = meta_pages;
-        let record_bytes = 4 + dim * 4;
         Ok(SpannIndex {
             dim,
             n,
@@ -301,21 +288,14 @@ impl SpannIndex {
             centroids,
             postings,
             cache: Arc::new(PageCache::new(file, cache_pages)),
-            records_per_page: PAGE_SIZE / record_bytes,
+            records_per_page,
             replicated,
-            prefetch: AtomicBool::new(true),
         })
     }
 
     /// The page cache (I/O accounting for experiment F7).
     pub fn cache(&self) -> &Arc<PageCache> {
         &self.cache
-    }
-
-    /// Toggle asynchronous posting-page prefetch (results are identical
-    /// either way; only I/O timing changes).
-    pub fn set_prefetch(&self, enabled: bool) {
-        self.prefetch.store(enabled, Ordering::Relaxed);
     }
 
     /// Replication factor caused by closure assignment.
@@ -351,55 +331,34 @@ impl SpannIndex {
         let probes = params.nprobe.max(1).min(ctx.order.len());
         let record_bytes = 4 + self.dim * 4;
         ctx.pool.reset(k);
-        let prefetch_on = self.prefetch.load(Ordering::Relaxed) && self.cache.prefetch_pays();
-
-        // The probe set fixes every page this query will read. Flatten
-        // that sequence once; the scan below keeps a readahead window of
-        // it in flight on the prefetch pool, so posting I/O overlaps with
-        // the scoring of earlier pages. (Prefetch only warms the cache;
-        // demand reads wait on in-flight fetches, so results are
-        // identical with prefetch disabled.)
-        let mut probe_pages = std::mem::take(&mut ctx.ext::<SpannScratch>().pages);
-        probe_pages.clear();
-        for &(_, c) in ctx.order.iter().take(probes) {
-            let (start, count) = self.postings[c as usize];
-            let mut remaining = count as usize;
-            let mut p = 0u64;
-            while remaining > 0 {
-                let in_page = remaining.min(self.records_per_page);
-                probe_pages.push((PageId(start + p), in_page as u32));
-                remaining -= in_page;
-                p += 1;
-            }
-        }
 
         let SearchContext {
             visited: seen,
             pool: top,
+            order,
             ids,
             dists,
             rows,
             ..
         } = ctx;
-        for i in 0..probe_pages.len() {
-            if prefetch_on {
-                if i == 0 {
-                    for &(pid, _) in probe_pages.iter().take(READAHEAD_WINDOW).skip(1) {
-                        prefetch::pool().request(&self.cache, pid);
-                    }
-                } else if let Some(&(pid, _)) = probe_pages.get(i + READAHEAD_WINDOW - 1) {
-                    // Slide the window: one new page enters as one is read.
-                    prefetch::pool().request(&self.cache, pid);
-                }
-            }
-            let (pid, in_page) = probe_pages[i];
+        // Each probed list is a run of full pages ending in a partial one;
+        // `open` checked that every run lies inside the file.
+        let pages = order.iter().take(probes).flat_map(|&(_, c)| {
+            let (start, count) = self.postings[c as usize];
+            let count = count as usize;
+            (0..count.div_ceil(self.records_per_page)).map(move |p| {
+                let in_page = (count - p * self.records_per_page).min(self.records_per_page);
+                (PageId(start + p as u64), in_page)
+            })
+        });
+        for (pid, in_page) in pages {
             let page = self.cache.read(pid)?;
             // Gather the page's surviving records (dedup closure replicas,
             // apply the filter) into contiguous scratch, then score the
             // whole page in one kernel batch.
             ids.clear();
             rows.clear();
-            for slot in 0..in_page as usize {
+            for slot in 0..in_page {
                 let base = slot * record_bytes;
                 let row = page.read_u32(base) as usize;
                 if !seen.visit(row) {
@@ -424,9 +383,7 @@ impl SpannIndex {
                 top.push(Neighbor::new(row as usize, d));
             }
         }
-        let out = top.drain_sorted();
-        ctx.ext::<SpannScratch>().pages = probe_pages;
-        Ok(out)
+        Ok(top.drain_sorted())
     }
 }
 
@@ -508,8 +465,13 @@ fn write_byte_run(file: &PagedFile, start_page: u64, bytes: &[u8]) -> Result<()>
 }
 
 fn read_byte_run(file: &PagedFile, start_page: u64, len: usize) -> Result<Vec<u8>> {
-    let mut out = Vec::with_capacity(len);
+    // Lengths come from the header: bound them by the file before
+    // allocating, so a damaged header is an error, not a huge allocation.
     let pages = len.div_ceil(PAGE_SIZE);
+    if start_page.saturating_add(pages as u64) > file.num_pages() {
+        return Err(Error::Corrupt("SPANN section runs past the file".into()));
+    }
+    let mut out = Vec::with_capacity(len);
     for i in 0..pages {
         let page = file.read_page(vdb_storage::PageId(start_page + i as u64))?;
         let take = (len - out.len()).min(PAGE_SIZE);
@@ -642,6 +604,31 @@ mod tests {
         assert_eq!(reopened.len(), 500);
         let after = reopened.search(q, 5, &params).unwrap();
         assert_eq!(before, after);
+    }
+
+    #[test]
+    fn open_rejects_posting_runs_outside_the_file() {
+        let mut rng = Rng::seed_from_u64(23);
+        let data = dataset::clustered(500, 8, 8, 0.3, &mut rng).vectors;
+        let dir = TempDir::new("spann-corrupt").unwrap();
+        let path = dir.file("c.idx");
+        SpannIndex::build(&path, &data, Metric::Euclidean, &SpannConfig::new(8)).unwrap();
+        let image = std::fs::read(&path).unwrap();
+        let open = |bytes: &[u8]| {
+            std::fs::write(&path, bytes).unwrap();
+            SpannIndex::open(&path, Metric::Euclidean, 16)
+        };
+        assert!(open(&image).is_ok());
+        // Truncated: the last posting list's pages are gone.
+        assert!(matches!(
+            open(&image[..image.len() - PAGE_SIZE]),
+            Err(Error::Corrupt(_))
+        ));
+        // One run's start page overflows `start + p` and `PageId::offset`.
+        let meta = (1 + (8 * 8 * 4usize).div_ceil(PAGE_SIZE)) * PAGE_SIZE;
+        let mut bad = image.clone();
+        bad[meta..meta + 8].copy_from_slice(&(u64::MAX - 1).to_le_bytes());
+        assert!(matches!(open(&bad), Err(Error::Corrupt(_))));
     }
 
     #[test]

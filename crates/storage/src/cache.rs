@@ -1,5 +1,5 @@
-//! Admission-controlled page cache with pinning, prefetch integration,
-//! and lock-free I/O accounting.
+//! Admission-controlled page cache with pinning and lock-free I/O
+//! accounting.
 //!
 //! The cache sits between disk-resident indexes and their [`PagedFile`]s.
 //! Its budget (in pages) models available memory; its counters let the
@@ -17,21 +17,18 @@
 //!   recycles a single probationary slice instead of flushing the working
 //!   set. The protected segment is capped (SLRU-style) at 4/5 of the
 //!   budget — promoting past the cap demotes the LRU protected page — so
-//!   stale once-hot pages cannot monopolize the cache and starve the
-//!   probationary slice that prefetched pages land in.
+//!   stale once-hot pages cannot monopolize the cache: at least a fifth
+//!   of it always recycles as probationary space for pages a scan has
+//!   touched only once.
 //! - **Frequency-based admission**: when the cache is full, a page whose
 //!   access frequency is lower than the victim's is returned to the
 //!   caller but *not cached* (counted in `admission_rejects`), the
 //!   TinyLFU admission idea at page granularity.
 //!
-//! Prefetch workers ([`crate::prefetch`]) install pages through
-//! [`PageCache::prefetch_read`]; an in-flight table keyed by page id makes
-//! a concurrent demand read *wait* for the already-issued I/O instead of
-//! duplicating it, which is exactly the I/O/compute overlap the async
-//! disk pipeline exists for. That overlap only pays when a read costs
-//! more than handing it to a worker, so the cache also times every disk
-//! read it performs ([`PageCache::read_cost_ns`]) and tells the indexes
-//! whether to prefetch at all ([`PageCache::prefetch_pays`]).
+//! There is one read path: a miss reads the page synchronously, outside
+//! the page-table lock, and installs it. Two searchers missing on the same
+//! page at once may both read it; the second install finds the page
+//! resident and only refreshes it.
 //!
 //! Counters are plain atomics outside the page-table lock, so
 //! [`PageCache::stats`] is a cheap wait-free snapshot safe to poll from
@@ -39,26 +36,22 @@
 
 use crate::file::PagedFile;
 use crate::page::{Page, PageId};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Condvar};
-use std::time::Instant;
+use std::sync::Arc;
 use vdb_core::error::Result;
 use vdb_core::sync::Mutex;
 
 /// Cache counters (monotonic, except the `pinned_pages` gauge).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
-    /// Page requests served from memory (including pinned pages and
-    /// demand reads that waited on an in-flight prefetch).
+    /// Page requests served from memory (including pinned pages).
     pub hits: u64,
-    /// Page requests that went to disk on the demand path.
+    /// Page requests that went to disk — the I/O metric of experiments
+    /// F7/D1.
     pub misses: u64,
     /// Pages evicted to make room.
     pub evictions: u64,
-    /// Pages read from disk by the prefetcher. Total disk reads are
-    /// `misses + prefetched`.
-    pub prefetched: u64,
     /// Demand-filled pages the admission policy declined to cache.
     pub admission_rejects: u64,
     /// Currently pinned pages (gauge, not a counter).
@@ -79,12 +72,6 @@ impl CacheStats {
         } else {
             self.hits as f64 / total as f64
         }
-    }
-
-    /// Total pages read from disk (demand misses + prefetch reads) — the
-    /// I/O metric of experiments F7/D1.
-    pub fn disk_reads(&self) -> u64 {
-        self.misses + self.prefetched
     }
 }
 
@@ -117,9 +104,6 @@ struct CacheInner {
     /// Pinned pages: resident for the cache's lifetime, never evicted,
     /// not counted against the budget.
     pinned: HashMap<PageId, Arc<Page>>,
-    /// Pages a prefetch worker is currently reading; demand readers wait
-    /// on `filled` instead of issuing a duplicate read.
-    inflight: HashSet<PageId>,
     /// Access-frequency sketch for the admission policy, aged by halving.
     freq: HashMap<PageId, u32>,
     freq_ops: u64,
@@ -150,7 +134,7 @@ impl CacheInner {
 }
 
 /// A read-through page cache over one paged file (see the module docs for
-/// the eviction, admission, pinning, and prefetch semantics).
+/// the eviction, admission, and pinning semantics).
 ///
 /// Writes go straight to the file and update the cached copy
 /// (write-through), keeping the cache trivially consistent — appropriate
@@ -159,31 +143,12 @@ pub struct PageCache {
     file: Arc<PagedFile>,
     budget_pages: usize,
     inner: Mutex<CacheInner>,
-    /// Signaled when an in-flight prefetch completes (or is abandoned).
-    filled: Condvar,
     hits: AtomicU64,
     misses: AtomicU64,
     evictions: AtomicU64,
-    prefetched: AtomicU64,
     admission_rejects: AtomicU64,
     pinned_count: AtomicU64,
-    /// Running estimate of one disk read's wall time (see
-    /// [`PageCache::read_cost_ns`]); 0 until the first read.
-    read_cost_ns: AtomicU64,
 }
-
-/// Reads measured at or above this cost make asynchronous prefetch pay
-/// ([`PageCache::prefetch_pays`]). Handing a page to the
-/// [`crate::prefetch`] pool costs a queue lock, a worker wake-up and, for
-/// the demand read that then finds the page in flight, a condvar wait.
-/// Measured on a 2-core x86-64 host (EXPERIMENTS.md §D1 sweep), that is
-/// 2.1 µs per request with one searcher and 3.6 µs of core time with two;
-/// spread over the demand reads the lookahead avoids, 1.6 and 5.8 µs per
-/// avoided read — the read cost at which prefetch breaks even. The bar
-/// sits just above the contended figure. Reads the OS page cache serves
-/// measure 0.5–1.1 µs there and stay far below it; device reads (tens of
-/// µs and up) clear it.
-pub const PREFETCH_MIN_READ_NS: u64 = 6_000;
 
 impl PageCache {
     /// Wrap `file` with a cache holding at most `budget_pages` evictable
@@ -196,59 +161,17 @@ impl PageCache {
             inner: Mutex::new(CacheInner {
                 pages: HashMap::new(),
                 pinned: HashMap::new(),
-                inflight: HashSet::new(),
                 freq: HashMap::new(),
                 freq_ops: 0,
                 protected: 0,
                 clock: 0,
             }),
-            filled: Condvar::new(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
-            prefetched: AtomicU64::new(0),
             admission_rejects: AtomicU64::new(0),
             pinned_count: AtomicU64::new(0),
-            read_cost_ns: AtomicU64::new(0),
         }
-    }
-
-    /// Read `id` from the file, folding the read's wall time into the
-    /// read-cost estimate. Every disk read the cache performs — demand
-    /// miss, prefetch, pin — goes through here.
-    fn read_from_disk(&self, id: PageId) -> Result<Page> {
-        let started = Instant::now();
-        let page = self.file.read_page(id)?;
-        let sample = u64::try_from(started.elapsed().as_nanos()).unwrap_or(u64::MAX);
-        // EWMA with weight 1/8; the first sample seeds it. A sample counts
-        // for at most 8× the current estimate, so one read that lost its
-        // core to the scheduler cannot swing the estimate by itself, while
-        // a device that really got slower moves it within a few reads.
-        let _ = self
-            .read_cost_ns
-            .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |old| {
-                Some(if old == 0 {
-                    sample.max(1)
-                } else {
-                    old - old / 8 + sample.min(old.saturating_mul(8)) / 8
-                })
-            });
-        Ok(page)
-    }
-
-    /// Running estimate of one disk read's wall time in nanoseconds, over
-    /// every read this cache performed (demand misses, prefetches, pins);
-    /// 0 before the first. Reads served by the OS page cache measure
-    /// about 1 µs, a simulated or real NVMe device tens to hundreds.
-    pub fn read_cost_ns(&self) -> u64 {
-        self.read_cost_ns.load(Ordering::Relaxed)
-    }
-
-    /// Whether reads cost enough that overlapping them with compute beats
-    /// the hand-off to the prefetch pool: `read_cost_ns() >=`
-    /// [`PREFETCH_MIN_READ_NS`]. False before any read was measured.
-    pub fn prefetch_pays(&self) -> bool {
-        self.read_cost_ns() >= PREFETCH_MIN_READ_NS
     }
 
     /// The underlying file.
@@ -263,7 +186,7 @@ impl PageCache {
 
     /// SLRU cap on the protected segment: 4/5 of the budget, so at least
     /// a fifth of the cache always recycles as probationary space for
-    /// new and prefetched pages.
+    /// new pages.
     fn protected_cap(&self) -> usize {
         (self.budget_pages * 4 / 5).max(1)
     }
@@ -286,8 +209,8 @@ impl PageCache {
     }
 
     /// Install a freshly read page. `admit_always` bypasses the admission
-    /// filter (used by prefetch, whose pages are about to be demanded, and
-    /// by write-through, which must keep the cached copy coherent).
+    /// filter (used by write-through, which must keep the cached copy
+    /// coherent).
     fn install(&self, inner: &mut CacheInner, id: PageId, page: &Arc<Page>, admit_always: bool) {
         if self.budget_pages == 0 || inner.pinned.contains_key(&id) {
             return;
@@ -330,127 +253,57 @@ impl PageCache {
         );
     }
 
-    /// Fetch a page, consulting the cache first. A demand read that finds
-    /// the page in flight under the prefetcher blocks until that read
-    /// completes (counted as a hit: the disk read was already accounted
-    /// to `prefetched`).
+    /// Fetch a page, consulting the cache first. A miss reads the page
+    /// from the file outside the lock, then installs it.
     pub fn read(&self, id: PageId) -> Result<Arc<Page>> {
         {
             let mut inner = self.inner.lock();
-            loop {
-                if let Some(page) = inner.pinned.get(&id) {
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    GLOBAL_HITS.fetch_add(1, Ordering::Relaxed);
-                    return Ok(Arc::clone(page));
-                }
-                if inner.pages.contains_key(&id) {
-                    inner.clock += 1;
-                    let clock = inner.clock;
-                    let e = inner.pages.get_mut(&id).expect("resident");
-                    e.stamp = clock;
-                    let promoted = !e.protected;
-                    e.protected = true; // re-referenced: survives scans
-                    let page = Arc::clone(&e.page);
-                    if promoted {
-                        inner.protected += 1;
-                        if inner.protected > self.protected_cap() {
-                            // SLRU: demote the LRU protected page to the
-                            // MRU end of probationary (one more chance)
-                            // so stale hot pages cannot fill the cache.
-                            let lru = inner
-                                .pages
-                                .iter()
-                                .filter(|(&pid, e)| e.protected && pid != id)
-                                .min_by_key(|(_, e)| e.stamp)
-                                .map(|(&pid, _)| pid);
-                            if let Some(pid) = lru {
-                                let d = inner.pages.get_mut(&pid).expect("resident");
-                                d.protected = false;
-                                d.stamp = clock;
-                                inner.protected -= 1;
-                            }
+            if let Some(page) = inner.pinned.get(&id) {
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                GLOBAL_HITS.fetch_add(1, Ordering::Relaxed);
+                return Ok(Arc::clone(page));
+            }
+            if inner.pages.contains_key(&id) {
+                inner.clock += 1;
+                let clock = inner.clock;
+                let e = inner.pages.get_mut(&id).expect("resident");
+                e.stamp = clock;
+                let promoted = !e.protected;
+                e.protected = true; // re-referenced: survives scans
+                let page = Arc::clone(&e.page);
+                if promoted {
+                    inner.protected += 1;
+                    if inner.protected > self.protected_cap() {
+                        // SLRU: demote the LRU protected page to the MRU
+                        // end of probationary (one more chance) so stale
+                        // hot pages cannot fill the cache.
+                        let lru = inner
+                            .pages
+                            .iter()
+                            .filter(|(&pid, e)| e.protected && pid != id)
+                            .min_by_key(|(_, e)| e.stamp)
+                            .map(|(&pid, _)| pid);
+                        if let Some(pid) = lru {
+                            let d = inner.pages.get_mut(&pid).expect("resident");
+                            d.protected = false;
+                            d.stamp = clock;
+                            inner.protected -= 1;
                         }
                     }
-                    inner.bump_freq(id, self.budget_pages);
-                    self.hits.fetch_add(1, Ordering::Relaxed);
-                    GLOBAL_HITS.fetch_add(1, Ordering::Relaxed);
-                    return Ok(page);
-                }
-                if inner.inflight.contains(&id) {
-                    // A prefetch worker is already reading this page;
-                    // waiting for it *is* the I/O overlap.
-                    inner = self
-                        .filled
-                        .wait(inner)
-                        .unwrap_or_else(|poisoned| poisoned.into_inner());
-                    continue;
                 }
                 inner.bump_freq(id, self.budget_pages);
-                self.misses.fetch_add(1, Ordering::Relaxed);
-                GLOBAL_MISSES.fetch_add(1, Ordering::Relaxed);
-                break;
+                self.hits.fetch_add(1, Ordering::Relaxed);
+                GLOBAL_HITS.fetch_add(1, Ordering::Relaxed);
+                return Ok(page);
             }
+            inner.bump_freq(id, self.budget_pages);
+            self.misses.fetch_add(1, Ordering::Relaxed);
+            GLOBAL_MISSES.fetch_add(1, Ordering::Relaxed);
         }
-        // Miss path: read outside the lock, then install.
-        let page = Arc::new(self.read_from_disk(id)?);
+        let page = Arc::new(self.file.read_page(id)?);
         let mut inner = self.inner.lock();
         self.install(&mut inner, id, &page, false);
         Ok(page)
-    }
-
-    /// Prefetch `id` into the cache if it is not resident or already in
-    /// flight. Called by [`crate::prefetch`] workers; the read happens
-    /// outside the lock and is accounted to `prefetched`, not `misses`.
-    /// Returns whether this call performed a disk read. No-op (false)
-    /// when caching is disabled, since an uncacheable prefetch is pure
-    /// wasted I/O.
-    pub fn prefetch_read(&self, id: PageId) -> Result<bool> {
-        if self.budget_pages == 0 {
-            return Ok(false);
-        }
-        {
-            let mut inner = self.inner.lock();
-            if inner.pinned.contains_key(&id)
-                || inner.pages.contains_key(&id)
-                || !inner.inflight.insert(id)
-            {
-                return Ok(false);
-            }
-        }
-        let read = self.read_from_disk(id);
-        let mut inner = self.inner.lock();
-        inner.inflight.remove(&id);
-        let result = match read {
-            Ok(page) => {
-                let page = Arc::new(page);
-                // Prefetched pages bypass admission (they are about to be
-                // demanded) but enter probationary, so a mispredicted
-                // prefetch is the first thing evicted.
-                self.install(&mut inner, id, &page, true);
-                self.prefetched.fetch_add(1, Ordering::Relaxed);
-                Ok(true)
-            }
-            // Swallow the error: the demand read will retry and surface it.
-            Err(_) => Ok(false),
-        };
-        drop(inner);
-        self.filled.notify_all();
-        result
-    }
-
-    /// Whether `id` is resident (pinned or cached) right now.
-    pub fn contains(&self, id: PageId) -> bool {
-        let inner = self.inner.lock();
-        inner.pinned.contains_key(&id) || inner.pages.contains_key(&id)
-    }
-
-    /// Whether `id` is resident or already being read by a prefetch
-    /// worker — i.e. requesting it again would be pure queue churn.
-    pub fn contains_or_inflight(&self, id: PageId) -> bool {
-        let inner = self.inner.lock();
-        inner.pinned.contains_key(&id)
-            || inner.pages.contains_key(&id)
-            || inner.inflight.contains(&id)
     }
 
     /// Pin a set of pages: read them (from cache or disk) and hold them
@@ -476,7 +329,7 @@ impl PageCache {
                     continue;
                 }
             }
-            let page = Arc::new(self.read_from_disk(id)?);
+            let page = Arc::new(self.file.read_page(id)?);
             let mut inner = self.inner.lock();
             if inner.pinned.insert(id, page).is_none() {
                 self.pinned_count.fetch_add(1, Ordering::Relaxed);
@@ -513,7 +366,6 @@ impl PageCache {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
             evictions: self.evictions.load(Ordering::Relaxed),
-            prefetched: self.prefetched.load(Ordering::Relaxed),
             admission_rejects: self.admission_rejects.load(Ordering::Relaxed),
             pinned_pages: self.pinned_count.load(Ordering::Relaxed),
         }
@@ -525,7 +377,6 @@ impl PageCache {
         self.hits.store(0, Ordering::Relaxed);
         self.misses.store(0, Ordering::Relaxed);
         self.evictions.store(0, Ordering::Relaxed);
-        self.prefetched.store(0, Ordering::Relaxed);
         self.admission_rejects.store(0, Ordering::Relaxed);
     }
 
@@ -620,9 +471,6 @@ mod tests {
         assert_eq!(s.hits, 0);
         assert_eq!(s.misses, 2);
         assert_eq!(cache.resident(), 0);
-        // Prefetch into a budget-0 cache is refused, not wasted I/O.
-        assert!(!cache.prefetch_read(PageId(1)).unwrap());
-        assert_eq!(cache.stats().prefetched, 0);
     }
 
     #[test]
@@ -710,8 +558,9 @@ mod tests {
     fn protected_segment_is_capped() {
         // Budget 5 → protected cap 4. Make all 5 resident pages protected
         // candidates by double-reading; the cap forces at least one back
-        // to probationary, so a prefetched page can enter and survive
-        // until its demand read instead of self-evicting against a fully
+        // to probationary, so a page installed through `write` (which
+        // bypasses admission) evicts a demoted page and survives until
+        // its next read instead of self-evicting against a fully
         // protected cache.
         let (_dir, cache) = setup(8, 5);
         for _ in 0..2 {
@@ -719,15 +568,20 @@ mod tests {
                 cache.read(PageId(i)).unwrap();
             }
         }
-        assert!(cache.prefetch_read(PageId(6)).unwrap());
+        assert_eq!(cache.inner.lock().protected, 4);
+        let mut p = Page::zeroed();
+        p.write_u32(0, 66);
+        cache.write(PageId(6), p).unwrap();
         cache.reset_stats();
-        assert_eq!(cache.read(PageId(6)).unwrap().read_u32(0), 6);
+        assert_eq!(cache.read(PageId(6)).unwrap().read_u32(0), 66);
         let s = cache.stats();
         assert_eq!(
             (s.hits, s.misses),
             (1, 0),
-            "prefetched page displaced a demoted page, not itself: {s:?}"
+            "written page displaced a demoted page, not itself: {s:?}"
         );
+        // Promoting the written page demotes another: still at the cap.
+        assert_eq!(cache.inner.lock().protected, 4);
     }
 
     #[test]
@@ -748,19 +602,6 @@ mod tests {
         cache.read(PageId(0)).unwrap();
         cache.read(PageId(1)).unwrap();
         assert_eq!(cache.stats().hits, 2, "hot set survived the cold sweep");
-    }
-
-    #[test]
-    fn prefetch_read_installs_and_dedups() {
-        let (_dir, cache) = setup(4, 4);
-        assert!(cache.prefetch_read(PageId(2)).unwrap());
-        assert!(!cache.prefetch_read(PageId(2)).unwrap(), "already resident");
-        let s = cache.stats();
-        assert_eq!((s.prefetched, s.misses), (1, 0));
-        // The demand read is now a hit.
-        assert_eq!(cache.read(PageId(2)).unwrap().read_u32(0), 2);
-        let s = cache.stats();
-        assert_eq!((s.hits, s.misses, s.disk_reads()), (1, 0, 1));
     }
 
     #[test]

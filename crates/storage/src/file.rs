@@ -1,17 +1,9 @@
 //! Page-granular file I/O.
 //!
 //! Reads are *positioned* on unix (`pread` via [`std::os::unix::fs::FileExt`])
-//! so concurrent readers — the prefetch worker pool and the search thread —
-//! overlap at the syscall level instead of serializing on a seek lock. On
-//! other platforms reads fall back to seek+read under the handle mutex.
-//!
-//! # Simulated device latency
-//!
-//! Real NVMe reads cost tens of microseconds; a warm OS page cache serves
-//! them in ~1 µs, which hides the I/O-overlap effects the disk-serving
-//! experiments measure. Setting `VDB_SIM_READ_LAT_US=<micros>` (parsed per
-//! file at create/open time) makes every page read sleep that long first,
-//! modeling a device with that access latency. Writes are unaffected.
+//! so concurrent searchers sharing one file overlap at the syscall level
+//! instead of serializing on a seek lock. On other platforms reads fall
+//! back to seek+read under the handle mutex.
 
 use crate::page::{Page, PageId, PAGE_SIZE};
 use std::fs::{File, OpenOptions};
@@ -19,7 +11,6 @@ use std::fs::{File, OpenOptions};
 use std::io::Read;
 use std::io::{Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
-use std::time::Duration;
 use vdb_core::error::Result;
 use vdb_core::sync::Mutex;
 
@@ -35,17 +26,6 @@ pub struct PagedFile {
     reader: File,
     path: PathBuf,
     pages: Mutex<u64>,
-    /// Simulated per-read device latency (`VDB_SIM_READ_LAT_US`).
-    read_delay: Option<Duration>,
-}
-
-fn read_delay_from_env() -> Option<Duration> {
-    let us: u64 = std::env::var("VDB_SIM_READ_LAT_US")
-        .ok()?
-        .trim()
-        .parse()
-        .ok()?;
-    (us > 0).then(|| Duration::from_micros(us))
 }
 
 impl PagedFile {
@@ -58,7 +38,6 @@ impl PagedFile {
             reader,
             path: path.to_path_buf(),
             pages: Mutex::new(pages),
-            read_delay: read_delay_from_env(),
         })
     }
 
@@ -106,9 +85,6 @@ impl PagedFile {
 
     /// Read one page.
     pub fn read_page(&self, id: PageId) -> Result<Page> {
-        if let Some(d) = self.read_delay {
-            std::thread::sleep(d);
-        }
         let mut page = Page::zeroed();
         #[cfg(unix)]
         {

@@ -6,9 +6,8 @@
 //!   accounting for disk-resident indexes (§2.2),
 //! - [`cache`] — read-through page cache with pinning, scan-resistant
 //!   admission-controlled eviction, and lock-free hit/miss/eviction
-//!   counters (the instrument of experiments F7/D1),
-//! - [`prefetch`] — std-only asynchronous I/O worker pool feeding the
-//!   cache (the disk pipeline's overlap engine, with an io_uring seam),
+//!   counters (the instrument of experiments F7/D1); a miss reads the
+//!   page inline and installs it,
 //! - [`vector_store`] — page-aligned disk-resident vector records,
 //! - [`column`] — typed, nullable attribute columns with a cached summary
 //!   (exact statistics, numeric rows in value order) for selectivity
@@ -35,7 +34,6 @@ pub mod failpoint;
 pub mod file;
 pub mod lsm;
 pub mod page;
-pub mod prefetch;
 pub mod snapshot;
 pub mod vector_store;
 pub mod wal;
@@ -45,7 +43,6 @@ pub use column::{AttributeStore, Column, ColumnStats};
 pub use file::{PagedFile, TempDir};
 pub use lsm::{KeyedNeighbor, LsmConfig, LsmStore};
 pub use page::{Page, PageId, PAGE_SIZE};
-pub use prefetch::{IoBackend, PrefetchPool};
 pub use snapshot::{Checkpoint, Snapshot, SnapshotColumn};
 pub use vector_store::DiskVectorStore;
 pub use wal::{crc32, decode_shipped, ship_record, ShippedRecord, Wal, WalRecord};

@@ -72,7 +72,7 @@ pub enum IndexSpec {
     /// Vamana (DiskANN's in-memory graph).
     Vamana(VamanaConfig),
     /// Disk-resident DiskANN: the Vamana graph serialized to a spec-owned
-    /// temp file and served through the paged cache + prefetch pipeline.
+    /// temp file and served through the paged cache.
     DiskAnn {
         /// Memory budget as a fraction of the raw vector bytes, converted
         /// to a page-cache budget (the D1 knob; `0.1` ≈ "serve with 10%

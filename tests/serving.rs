@@ -147,12 +147,12 @@ fn graceful_shutdown_completes_in_flight_requests() {
     };
     let handle = serve(fixture_db(32, 4), "127.0.0.1:0", cfg).unwrap();
     let client = Arc::new(Client::connect(handle.addr()).unwrap());
-    let mut inflight = Vec::new();
+    let mut pending = Vec::new();
     // Head search parks the worker in its batch window; the rest queue
     // up behind it.
     for i in 0..5u64 {
         let client = client.clone();
-        inflight.push(std::thread::spawn(move || {
+        pending.push(std::thread::spawn(move || {
             client.search(
                 "docs",
                 &[i as f32 + 0.2, 0.0, 0.0, 0.0],
@@ -167,7 +167,7 @@ fn graceful_shutdown_completes_in_flight_requests() {
     std::thread::sleep(Duration::from_millis(150));
     // All 5 are in flight (1 executing, 4 queued). Shut down now.
     let db = handle.shutdown();
-    for (i, t) in inflight.into_iter().enumerate() {
+    for (i, t) in pending.into_iter().enumerate() {
         let hits = t
             .join()
             .unwrap()
