@@ -80,6 +80,8 @@ echo "== kernel equivalence with SIMD force-disabled =="
 # still run; this pass proves the *dispatched* entry points behave when
 # pinned to the portable fallback.
 VDB_FORCE_SCALAR=1 cargo test -q --release -p vdb-core --test kernel_equivalence
+# The IVF list scans (distance gather, SQ and ADC kernels) on the fallback.
+VDB_FORCE_SCALAR=1 cargo test -q --release -p vdb-index-table
 
 echo "== disk pipeline: equivalence under every lever combination =="
 # The disk-serving pipeline (DESIGN.md §12) must be invisible to search

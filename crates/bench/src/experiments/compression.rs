@@ -7,7 +7,7 @@ use vdb_core::index::{SearchParams, VectorIndex};
 use vdb_core::metric::Metric;
 use vdb_core::topk::{Neighbor, TopK};
 use vdb_core::Result;
-use vdb_index_table::{HashFamily, IvfPqConfig, IvfPqIndex, LshConfig, LshIndex};
+use vdb_index_table::{HashFamily, IvfConfig, IvfPqIndex, LshConfig, LshIndex};
 use vdb_quant::{OpqConfig, OpqQuantizer, PqConfig, ProductQuantizer, ScalarQuantizer, SqBits};
 
 /// Search all codes by asymmetric distance, re-ranking nothing: measures
@@ -91,14 +91,15 @@ pub fn t2_quantization(scale: Scale) -> Result<()> {
         fmt(us, 1),
     ]);
 
-    // IVFADC with and without exact re-ranking.
-    for (label, refine, rerank) in [
-        ("ivfadc_m8_raw", false, 0usize),
-        ("ivfadc_m8_rerank128", true, 128),
-    ] {
-        let mut cfg = IvfPqConfig::new(32, 8);
-        cfg.refine = refine;
-        let idx = IvfPqIndex::build(w.data.clone(), Metric::Euclidean, &cfg)?;
+    // IVFADC with and without exact re-ranking: `rerank = 0` keeps the
+    // top-k by raw ADC distance (re-scoring k rows cannot change the set).
+    let idx = IvfPqIndex::build(
+        w.data.clone(),
+        Metric::Euclidean,
+        &IvfConfig::new(32),
+        &PqConfig::new(8),
+    )?;
+    for (label, rerank) in [("ivfadc_m8_raw", 0usize), ("ivfadc_m8_rerank128", 128)] {
         let params = SearchParams::default().with_nprobe(16).with_rerank(rerank);
         let (us, _, results) = time_queries(&w.queries, |q| {
             idx.search(q, GT_K, &params).expect("search")
@@ -123,7 +124,6 @@ pub fn t2_quantization(scale: Scale) -> Result<()> {
     );
 
     // Ablation (DESIGN.md §4.4): re-ranking depth in IVFADC.
-    let idx = IvfPqIndex::build(w.data.clone(), Metric::Euclidean, &IvfPqConfig::new(32, 8))?;
     let mut ab = Vec::new();
     for rerank in [0usize, 16, 64, 256, 1024] {
         let params = SearchParams::default().with_nprobe(16).with_rerank(rerank);

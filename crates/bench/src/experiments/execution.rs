@@ -308,7 +308,8 @@ pub fn t5_kernels() -> Result<()> {
     let ivf_pq = vdb_index_table::IvfPqIndex::build(
         data.clone(),
         Metric::Euclidean,
-        &vdb_index_table::IvfPqConfig::new(64, 8),
+        &vdb_index_table::IvfConfig::new(64),
+        &PqConfig::new(8),
     )?;
     let queries: Vec<Vec<f32>> = (0..64)
         .map(|_| (0..dim).map(|_| rng.normal_f32()).collect())

@@ -131,7 +131,7 @@ fn f3b_online_vs_offline_blocking(scale: Scale) -> Result<()> {
     let w = standard(scale, 0x3B);
     // Attribute aligned with vector locality: the generator's cluster id.
     let labels = &w.cluster_of;
-    let index = IvfFlatIndex::build(w.data.clone(), Metric::Euclidean, &IvfConfig::new(32))?;
+    let index = IvfFlatIndex::build(w.data.clone(), Metric::Euclidean, &IvfConfig::new(32), &())?;
     // Offline blocking: map each attribute value to the rows it owns.
     let n_labels = labels.iter().copied().max().unwrap_or(0) + 1;
     let mut partitions: Vec<Vec<u32>> = vec![Vec::new(); n_labels];

@@ -7,9 +7,7 @@
 
 use crate::context::SearchContext;
 use crate::error::{Error, Result};
-use crate::index::{
-    check_query, DynamicIndex, IndexStats, MutableIndex, RowFilter, SearchParams, VectorIndex,
-};
+use crate::index::{check_query, IndexStats, MutableIndex, RowFilter, SearchParams, VectorIndex};
 use crate::metric::Metric;
 use crate::topk::Neighbor;
 use crate::vector::Vectors;
@@ -162,12 +160,6 @@ impl VectorIndex for FlatIndex {
     }
 }
 
-impl DynamicIndex for FlatIndex {
-    fn insert(&mut self, vector: &[f32]) -> Result<usize> {
-        MutableIndex::insert(self, vector)
-    }
-}
-
 impl MutableIndex for FlatIndex {
     fn insert(&mut self, vector: &[f32]) -> Result<usize> {
         let id = self.vectors.push(vector)?;
@@ -261,7 +253,7 @@ mod tests {
     #[test]
     fn insert_then_search_finds_new_vector() {
         let mut idx = grid_index();
-        let id = DynamicIndex::insert(&mut idx, &[100.0, 0.0]).unwrap();
+        let id = MutableIndex::insert(&mut idx, &[100.0, 0.0]).unwrap();
         let hits = idx
             .search(&[99.0, 0.0], 1, &SearchParams::default())
             .unwrap();

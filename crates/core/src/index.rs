@@ -314,18 +314,12 @@ pub trait VectorIndex: Send + Sync {
     }
 }
 
-/// Indexes supporting in-place insertion (LSH, IVF variants, NSW, HNSW).
-/// Static graph/tree indexes are updated out-of-place via the LSM path
-/// instead (§2.3 out-of-place updates).
-pub trait DynamicIndex: VectorIndex {
-    /// Insert a vector, returning its new row id.
-    fn insert(&mut self, vector: &[f32]) -> Result<usize>;
-}
-
-/// The full mutable capability (§2.3 in-place updates): insertion plus
-/// removal. Removal is tombstone-based — the row id stays allocated (so
-/// ids remain stable and aligned with the owner's row storage) but the
-/// row stops surfacing in search results; graph indexes additionally
+/// The mutable capability (§2.3 in-place updates): insertion plus
+/// removal. Static graph/tree indexes are updated out-of-place via the
+/// LSM path instead (§2.3 out-of-place updates). Removal is
+/// tombstone-based — the row id stays allocated (so ids remain stable
+/// and aligned with the owner's row storage) but the row stops
+/// surfacing in search results; graph indexes additionally
 /// patch neighbor edges and periodically re-prune so recall does not
 /// decay (the EXPERIMENTS.md §Vamana disconnection lesson).
 pub trait MutableIndex: VectorIndex {

@@ -62,7 +62,7 @@ pub use checksum::crc32;
 pub use context::{ContextPool, SearchContext};
 pub use error::{Error, Result};
 pub use flat::FlatIndex;
-pub use index::{DynamicIndex, IndexStats, MutableIndex, RowFilter, SearchParams, VectorIndex};
+pub use index::{IndexStats, MutableIndex, RowFilter, SearchParams, VectorIndex};
 pub use metric::Metric;
 pub use parallel::BuildOptions;
 pub use rng::Rng;

@@ -13,7 +13,7 @@ use crate::graph::{
 use vdb_core::context::{self, SearchContext};
 use vdb_core::error::{Error, Result};
 use vdb_core::index::{
-    check_query, DynamicIndex, IndexStats, MutableIndex, RowFilter, SearchParams, VectorIndex,
+    check_query, IndexStats, MutableIndex, RowFilter, SearchParams, VectorIndex,
 };
 use vdb_core::metric::Metric;
 use vdb_core::parallel::{parallel_queue, BuildOptions};
@@ -126,7 +126,7 @@ impl HnswIndex {
     pub fn build(vectors: Vectors, metric: Metric, cfg: HnswConfig) -> Result<Self> {
         let mut idx = HnswIndex::new(vectors.dim(), metric, cfg)?;
         for row in vectors.iter() {
-            DynamicIndex::insert(&mut idx, row)?;
+            MutableIndex::insert(&mut idx, row)?;
         }
         Ok(idx)
     }
@@ -138,7 +138,7 @@ impl HnswIndex {
     /// Determinism notes for the parallel path: the per-node level draws
     /// come from the same seeded stream the serial insert loop consumes
     /// (so the layer structure, the entry point, and the generator state
-    /// left behind for future [`DynamicIndex::insert`] calls are all
+    /// left behind for future [`MutableIndex::insert`] calls are all
     /// identical to a serial build); only the *edges* depend on insert
     /// interleaving, which the recall-equivalence tests bound.
     pub fn build_with(
@@ -598,7 +598,7 @@ impl VectorIndex for HnswIndex {
     }
 }
 
-impl DynamicIndex for HnswIndex {
+impl MutableIndex for HnswIndex {
     fn insert(&mut self, vector: &[f32]) -> Result<usize> {
         let row = self.vectors.push(vector)?;
         let level = self.rng.hnsw_level(self.mult);
@@ -664,12 +664,6 @@ impl DynamicIndex for HnswIndex {
             self.entry = row;
         }
         Ok(row)
-    }
-}
-
-impl MutableIndex for HnswIndex {
-    fn insert(&mut self, vector: &[f32]) -> Result<usize> {
-        DynamicIndex::insert(self, vector)
     }
 
     fn remove(&mut self, id: usize) -> Result<bool> {
@@ -915,7 +909,7 @@ mod tests {
     fn insert_after_build_is_searchable() {
         let (mut idx, _, _) = setup(500);
         let v = vec![99.0f32; 16];
-        let row = DynamicIndex::insert(&mut idx, &v).unwrap();
+        let row = MutableIndex::insert(&mut idx, &v).unwrap();
         let hits = idx.search(&v, 1, &SearchParams::default()).unwrap();
         assert_eq!(hits[0].id, row);
     }
@@ -1048,8 +1042,8 @@ mod tests {
             .unwrap();
             let mut back = reload(&live);
             for v in extra.iter() {
-                DynamicIndex::insert(&mut live, v).unwrap();
-                DynamicIndex::insert(&mut back, v).unwrap();
+                MutableIndex::insert(&mut live, v).unwrap();
+                MutableIndex::insert(&mut back, v).unwrap();
             }
             assert_eq!(back.levels, live.levels, "level generator re-derived");
             assert_eq!(back.image(), live.image());

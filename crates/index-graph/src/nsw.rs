@@ -10,7 +10,7 @@ use crate::graph::{beam_search, beam_search_filtered, AdjacencyList, SharedAdjac
 use vdb_core::context::{self, SearchContext};
 use vdb_core::error::{Error, Result};
 use vdb_core::index::{
-    check_query, DynamicIndex, IndexStats, MutableIndex, RowFilter, SearchParams, VectorIndex,
+    check_query, IndexStats, MutableIndex, RowFilter, SearchParams, VectorIndex,
 };
 use vdb_core::metric::Metric;
 use vdb_core::parallel::{parallel_queue, BuildOptions};
@@ -86,7 +86,7 @@ impl NswIndex {
     pub fn build(vectors: Vectors, metric: Metric, cfg: NswConfig) -> Result<Self> {
         let mut idx = NswIndex::new(vectors.dim(), metric, cfg)?;
         for row in vectors.iter() {
-            DynamicIndex::insert(&mut idx, row)?;
+            MutableIndex::insert(&mut idx, row)?;
         }
         Ok(idx)
     }
@@ -237,7 +237,7 @@ impl VectorIndex for NswIndex {
     }
 }
 
-impl DynamicIndex for NswIndex {
+impl MutableIndex for NswIndex {
     fn insert(&mut self, vector: &[f32]) -> Result<usize> {
         let row = self.vectors.push(vector)?;
         self.adj.push_node();
@@ -271,12 +271,6 @@ impl DynamicIndex for NswIndex {
             }
         }
         Ok(row)
-    }
-}
-
-impl MutableIndex for NswIndex {
-    fn insert(&mut self, vector: &[f32]) -> Result<usize> {
-        DynamicIndex::insert(self, vector)
     }
 
     fn remove(&mut self, id: usize) -> Result<bool> {
@@ -377,7 +371,7 @@ mod tests {
         let built = NswIndex::build(data.clone(), Metric::Euclidean, NswConfig::default()).unwrap();
         let mut incremental = NswIndex::new(6, Metric::Euclidean, NswConfig::default()).unwrap();
         for row in data.iter() {
-            DynamicIndex::insert(&mut incremental, row).unwrap();
+            MutableIndex::insert(&mut incremental, row).unwrap();
         }
         // Same construction path => identical graphs.
         for u in 0..200 {
@@ -445,7 +439,7 @@ mod tests {
             .unwrap()
             .is_empty());
         let mut idx = idx;
-        DynamicIndex::insert(&mut idx, &[1.0, 0.0, 0.0, 0.0]).unwrap();
+        MutableIndex::insert(&mut idx, &[1.0, 0.0, 0.0, 0.0]).unwrap();
         let hits = idx
             .search(&[1.0, 0.0, 0.0, 0.0], 3, &SearchParams::default())
             .unwrap();

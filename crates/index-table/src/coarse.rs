@@ -8,11 +8,13 @@
 //! function and the scatter walks rows in ascending order, so both are
 //! bit-identical for any thread count.
 
-use crate::ivf::check_ivf_params;
 use vdb_core::error::{Error, Result};
 use vdb_core::parallel::{clamp_threads, parallel_map_chunks, BuildOptions};
 use vdb_core::vector::Vectors;
 use vdb_quant::{KMeans, KMeansConfig};
+
+/// Sentinel list id for removed rows.
+pub(crate) const REMOVED: u32 = u32::MAX;
 
 /// Train a k-means coarse quantizer with `nlist` centroids, with
 /// explicit [`BuildOptions`] (parallel Lloyd iterations via
@@ -24,7 +26,9 @@ pub(crate) fn train_coarse_with(
     seed: u64,
     opts: &BuildOptions,
 ) -> Result<KMeans> {
-    check_ivf_params(nlist)?;
+    if nlist == 0 {
+        return Err(Error::InvalidParameter("nlist must be positive".into()));
+    }
     if vectors.is_empty() {
         return Err(Error::EmptyCollection);
     }

@@ -15,7 +15,7 @@
 use std::collections::HashMap;
 use vdb_core::context::{self, SearchContext};
 use vdb_core::error::{Error, Result};
-use vdb_core::index::{check_query, DynamicIndex, IndexStats, SearchParams, VectorIndex};
+use vdb_core::index::{check_query, IndexStats, SearchParams, VectorIndex};
 use vdb_core::kernel;
 use vdb_core::metric::Metric;
 use vdb_core::rng::Rng;
@@ -228,6 +228,20 @@ impl LshIndex {
     pub fn config(&self) -> &LshConfig {
         &self.cfg
     }
+
+    /// Insert a vector into every table, returning its new row id. LSH
+    /// has no remove, so it is not a [`vdb_core::MutableIndex`].
+    pub fn insert(&mut self, vector: &[f32]) -> Result<usize> {
+        let row = self.vectors.push(vector)?;
+        let v = self.vectors.get(row);
+        for (t, h) in self.hashes.iter().enumerate() {
+            self.tables[t]
+                .entry(h.key(v, self.cfg.family))
+                .or_default()
+                .push(row as u32);
+        }
+        Ok(row)
+    }
 }
 
 impl VectorIndex for LshIndex {
@@ -281,20 +295,6 @@ impl VectorIndex for LshIndex {
             structure_entries: entries,
             detail: format!("l={} k={} buckets={buckets}", self.cfg.l, self.cfg.k),
         }
-    }
-}
-
-impl DynamicIndex for LshIndex {
-    fn insert(&mut self, vector: &[f32]) -> Result<usize> {
-        let row = self.vectors.push(vector)?;
-        let v = self.vectors.get(row);
-        for (t, h) in self.hashes.iter().enumerate() {
-            self.tables[t]
-                .entry(h.key(v, self.cfg.family))
-                .or_default()
-                .push(row as u32);
-        }
-        Ok(row)
     }
 }
 

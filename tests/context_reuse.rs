@@ -12,11 +12,10 @@ use vdb_index_graph::{
     NswConfig, NswIndex, StitchedConfig, StitchedVamanaIndex, VamanaConfig, VamanaIndex,
 };
 use vdb_index_table::{
-    IvfConfig, IvfFlatIndex, IvfPqConfig, IvfPqIndex, IvfSqIndex, LshConfig, LshIndex, SpannConfig,
-    SpannIndex,
+    IvfConfig, IvfFlatIndex, IvfPqIndex, IvfSqIndex, LshConfig, LshIndex, SpannConfig, SpannIndex,
 };
 use vdb_index_tree::annoy_forest;
-use vdb_quant::SqBits;
+use vdb_quant::{PqConfig, SqBits};
 use vdb_storage::TempDir;
 
 const K: usize = 10;
@@ -117,19 +116,13 @@ fn graph_indexes_context_equivalence() {
 fn table_indexes_context_equivalence() {
     let (data, queries) = workload();
     let params = SearchParams::default().with_nprobe(4);
-    let ivf = IvfFlatIndex::build(data.clone(), Metric::Euclidean, &IvfConfig::new(16)).unwrap();
+    let cfg = IvfConfig::new(16);
+    let ivf = IvfFlatIndex::build(data.clone(), Metric::Euclidean, &cfg, &()).unwrap();
     assert_context_equivalence(&ivf, &queries, &params);
     let ivf_pq =
-        IvfPqIndex::build(data.clone(), Metric::Euclidean, &IvfPqConfig::new(16, 4)).unwrap();
+        IvfPqIndex::build(data.clone(), Metric::Euclidean, &cfg, &PqConfig::new(4)).unwrap();
     assert_context_equivalence(&ivf_pq, &queries, &params);
-    let ivf_sq = IvfSqIndex::build(
-        data.clone(),
-        Metric::Euclidean,
-        &IvfConfig::new(16),
-        SqBits::B8,
-        true,
-    )
-    .unwrap();
+    let ivf_sq = IvfSqIndex::build(data.clone(), Metric::Euclidean, &cfg, &SqBits::B8).unwrap();
     assert_context_equivalence(&ivf_sq, &queries, &params);
     let lsh = LshIndex::build(data, Metric::Euclidean, LshConfig::default()).unwrap();
     assert_context_equivalence(&lsh, &queries, &params);
@@ -171,7 +164,13 @@ fn one_context_serves_mixed_index_types() {
     let params = SearchParams::default().with_beam_width(48).with_nprobe(4);
     let flat = FlatIndex::build(data.clone(), Metric::Euclidean).unwrap();
     let hnsw = HnswIndex::build(data.clone(), Metric::Euclidean, HnswConfig::default()).unwrap();
-    let ivf_pq = IvfPqIndex::build(data, Metric::Euclidean, &IvfPqConfig::new(16, 4)).unwrap();
+    let ivf_pq = IvfPqIndex::build(
+        data,
+        Metric::Euclidean,
+        &IvfConfig::new(16),
+        &PqConfig::new(4),
+    )
+    .unwrap();
     let indexes: [&dyn VectorIndex; 3] = [&flat, &hnsw, &ivf_pq];
     let mut shared = SearchContext::new();
     for q in queries.iter().take(8) {

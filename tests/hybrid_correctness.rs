@@ -39,7 +39,7 @@ fn fixture() -> Fixture {
 fn indexes(data: &Vectors) -> Vec<Box<dyn VectorIndex>> {
     vec![
         Box::new(
-            IvfFlatIndex::build(data.clone(), Metric::Euclidean, &IvfConfig::new(24)).unwrap(),
+            IvfFlatIndex::build(data.clone(), Metric::Euclidean, &IvfConfig::new(24), &()).unwrap(),
         ),
         Box::new(HnswIndex::build(data.clone(), Metric::Euclidean, HnswConfig::default()).unwrap()),
         Box::new(
