@@ -23,12 +23,6 @@ cargo test -q --release
 echo "== workspace: full test suite =="
 cargo test -q --release --workspace
 
-echo "== integration suite with 4 build threads =="
-# BuildOptions::default() honors VDB_BUILD_THREADS; this pass proves the
-# root integration tests (incl. tests/parallel_build.rs) hold when
-# default-threaded builds actually run multi-threaded.
-VDB_BUILD_THREADS=4 cargo test -q --release
-
 echo "== crash-fault injection: durability sweep =="
 # The failpoint harness crashes every durable step of
 # insert/delete/merge/checkpoint and requires recovery to land on
@@ -37,10 +31,6 @@ echo "== crash-fault injection: durability sweep =="
 # shadowed-row counter against a full rescan on every call.
 cargo test -q --test crash_recovery
 cargo test -q -p vdb-storage --test wal_torn_tail
-# With parallel builds a rebuild is NOT the graph that was served: only
-# the index image in the checkpoint makes the HNSW sweeps' recovered
-# answers equal the pre-crash answers, so this pass proves the image path.
-VDB_BUILD_THREADS=4 cargo test -q --test crash_recovery
 
 echo "== online maintenance: mutability + background-merge stress =="
 # Mixed insert/delete/search stress: per-family tombstone correctness
@@ -82,6 +72,8 @@ echo "== kernel equivalence with SIMD force-disabled =="
 VDB_FORCE_SCALAR=1 cargo test -q --release -p vdb-core --test kernel_equivalence
 # The IVF list scans (distance gather, SQ and ADC kernels) on the fallback.
 VDB_FORCE_SCALAR=1 cargo test -q --release -p vdb-index-table
+# Every family's answers match the goldens recorded for the scalar backend.
+VDB_FORCE_SCALAR=1 cargo test -q --release --test answer_goldens
 
 echo "== disk pipeline: equivalence under every lever combination =="
 # The disk-serving pipeline (DESIGN.md §12) must be invisible to search
@@ -98,11 +90,9 @@ echo "== hybrid text + vector: fusion correctness, scalar kernels, merge modes =
 # respecting deterministic fusion, background-merge freshness,
 # distributed fusion parity) runs plain and with SIMD pinned to the
 # scalar fallback; the torn-snapshot sweep of the inverted index rides
-# in crash_recovery above. VDB_BUILD_THREADS=4 re-proves fusion
-# determinism when index builds are parallel.
+# in crash_recovery above.
 cargo test -q --release --test hybrid_text
 VDB_FORCE_SCALAR=1 cargo test -q --release --test hybrid_text
-VDB_BUILD_THREADS=4 cargo test -q --release --test hybrid_text
 
 echo "== benchmark: its own tests and a smoke run of every workload =="
 # The repo benchmark (benchmark/, BENCHMARK.json) is a standalone crate

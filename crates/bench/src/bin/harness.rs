@@ -5,7 +5,6 @@
 //! cargo run -p vdb-bench --release --bin harness -- all
 //! cargo run -p vdb-bench --release --bin harness -- f1 f3 t5
 //! cargo run -p vdb-bench --release --bin harness -- --quick all
-//! cargo run -p vdb-bench --release --bin harness -- --build-threads=4 b1
 //! ```
 
 use vdb_bench::{experiments, Scale};
@@ -19,26 +18,12 @@ fn main() {
             "--quick" => scale = Scale::Quick,
             "--full" => scale = Scale::Full,
             "all" => ids.extend(experiments::ALL.iter().map(|s| s.to_string())),
-            other => {
-                // --build-threads=N caps default-threaded builds, exactly
-                // like exporting VDB_BUILD_THREADS=N (which it sets).
-                if let Some(n) = other.strip_prefix("--build-threads=") {
-                    match n.trim().parse::<usize>() {
-                        Ok(n) if n >= 1 => std::env::set_var("VDB_BUILD_THREADS", n.to_string()),
-                        _ => {
-                            eprintln!("--build-threads needs a positive integer, got `{n}`");
-                            std::process::exit(2);
-                        }
-                    }
-                } else {
-                    ids.push(other.to_string());
-                }
-            }
+            other => ids.push(other.to_string()),
         }
     }
     if ids.is_empty() {
         eprintln!(
-            "usage: harness [--quick|--full] [--build-threads=N] <experiment...|all>\n  experiments: {}",
+            "usage: harness [--quick|--full] <experiment...|all>\n  experiments: {}",
             experiments::ALL.join(", ")
         );
         std::process::exit(2);

@@ -5,106 +5,54 @@
 //! same treatment without pulling in rayon — the workspace builds fully
 //! offline, so everything here is scoped `std::thread` fork/join.
 //!
-//! Three primitives cover every builder in the workspace:
+//! One primitive covers every builder in the workspace:
+//! [`parallel_map_chunks`] splits `[0, n)` into one contiguous chunk per
+//! worker, runs a closure over each chunk and returns the results **in
+//! chunk order**. It runs the closure inline on the calling thread when
+//! one thread suffices, so a serial [`BuildOptions`] never pays for a
+//! thread spawn.
 //!
-//! - [`parallel_for`] — split `[0, n)` into one contiguous chunk per
-//!   worker and run a closure over each chunk (static partitioning;
-//!   right when per-item cost is uniform, e.g. k-means assignment or
-//!   bulk PQ encoding),
-//! - [`parallel_map_chunks`] — the same partitioning, but each worker
-//!   returns a value and the caller receives them **in chunk order**,
-//!   so order-sensitive reductions (partial centroid sums, per-row
-//!   scatter) stay deterministic for a fixed thread count,
-//! - [`parallel_queue`] — a chunked work queue over an atomic cursor
-//!   (dynamic load balancing; right when per-item cost varies wildly,
-//!   e.g. graph inserts whose beam searches differ in length).
-//!
-//! All three run the closure inline on the calling thread when the
-//! effective thread count is 1, so a serial [`BuildOptions`] never pays
-//! for a thread spawn and — more importantly — never changes behavior.
-//!
-//! The determinism contract lives in [`BuildOptions`]: `deterministic:
-//! true` (or `threads: 1`) must reproduce the historical serial build
-//! bit-for-bit, so every index keeps its serial code path and switches
-//! on [`BuildOptions::is_serial`].
+//! The contract: the thread count changes how long a build takes, never
+//! the index it builds. Every builder keeps one body and fans out only
+//! work that is a pure map per item (row, tree, PQ subspace or shard)
+//! whose results are consumed in item order, so a build at any thread
+//! count is bit-identical to the serial one.
 
 use std::ops::Range;
-use std::sync::atomic::{AtomicUsize, Ordering};
 
-/// Options controlling how an index build uses threads.
-///
-/// The default is the machine's available parallelism, overridable with
-/// the `VDB_BUILD_THREADS` environment variable (mirroring the kernel
-/// layer's `VDB_FORCE_SCALAR` escape hatch) so CI and EXPERIMENTS runs
-/// are reproducible on any host.
+/// How many threads an index build may use. The thread count changes
+/// build time only: the built index is the same at any count.
 #[derive(Debug, Clone)]
 pub struct BuildOptions {
-    /// Worker threads (1 = serial). Always clamped to at least 1 and to
-    /// the amount of work available, so small builds never spawn idle
+    /// Worker threads (1 = serial). Builders clamp it to at least 1 and
+    /// to the amount of work available, so small builds never spawn idle
     /// workers.
     pub threads: usize,
-    /// When true, force the exact historical serial code path so the
-    /// build is bit-for-bit reproducible regardless of `threads`.
-    pub deterministic: bool,
 }
 
 impl Default for BuildOptions {
+    /// The machine's available parallelism.
     fn default() -> Self {
-        BuildOptions {
-            threads: env_threads(),
-            deterministic: false,
-        }
+        BuildOptions::with_threads(
+            std::thread::available_parallelism()
+                .map(|n| n.get())
+                .unwrap_or(1),
+        )
     }
 }
 
 impl BuildOptions {
-    /// A serial, bit-deterministic build — the historical behavior of
-    /// every `build()` constructor in the workspace.
+    /// A single-threaded build.
     pub fn serial() -> Self {
-        BuildOptions {
-            threads: 1,
-            deterministic: true,
-        }
+        BuildOptions { threads: 1 }
     }
 
-    /// A parallel build with an explicit thread count.
+    /// A build with an explicit thread count.
     pub fn with_threads(threads: usize) -> Self {
         BuildOptions {
             threads: threads.max(1),
-            deterministic: false,
         }
     }
-
-    /// The thread count a builder should actually use: 1 when the build
-    /// must be deterministic, the configured count otherwise.
-    pub fn effective_threads(&self) -> usize {
-        if self.deterministic {
-            1
-        } else {
-            self.threads.max(1)
-        }
-    }
-
-    /// Whether the builder must take its serial (bit-deterministic)
-    /// code path.
-    pub fn is_serial(&self) -> bool {
-        self.effective_threads() == 1
-    }
-}
-
-/// Thread count from `VDB_BUILD_THREADS` if set and valid, else the
-/// machine's available parallelism.
-fn env_threads() -> usize {
-    if let Ok(s) = std::env::var("VDB_BUILD_THREADS") {
-        if let Ok(n) = s.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Clamp a requested thread count to the work size (never zero).
@@ -113,39 +61,11 @@ pub fn clamp_threads(threads: usize, n: usize) -> usize {
 }
 
 /// Run `f(worker, range)` over `[0, n)` split into one contiguous chunk
-/// per worker. Runs inline (worker 0) when one thread suffices. Panics
-/// in workers propagate to the caller.
-pub fn parallel_for<F>(n: usize, threads: usize, f: F)
-where
-    F: Fn(usize, Range<usize>) + Sync,
-{
-    let threads = clamp_threads(threads, n);
-    if threads == 1 {
-        f(0, 0..n);
-        return;
-    }
-    let chunk = n.div_ceil(threads);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let lo = t * chunk;
-            let hi = ((t + 1) * chunk).min(n);
-            if lo >= hi {
-                break;
-            }
-            let f = &f;
-            handles.push(scope.spawn(move || f(t, lo..hi)));
-        }
-        for h in handles {
-            h.join().expect("parallel_for worker panicked");
-        }
-    });
-}
-
-/// Like [`parallel_for`], but each worker's closure returns a value and
-/// the results come back **in chunk order** (worker `t` covered rows
-/// `[t * ceil(n/threads), ...)`), so reductions over them are
-/// deterministic for a fixed thread count.
+/// per worker and return the results **in chunk order** (worker `t`
+/// covered rows `[t * ceil(n/threads), ...)`), so concatenating per-row
+/// results reproduces the serial order at any thread count. Runs inline
+/// (worker 0) when one thread suffices. Panics in workers propagate to
+/// the caller.
 pub fn parallel_map_chunks<T, F>(n: usize, threads: usize, f: F) -> Vec<T>
 where
     T: Send,
@@ -176,57 +96,15 @@ where
     slots.into_iter().flatten().collect()
 }
 
-/// Chunked dynamic work queue: workers repeatedly claim `grain`-sized
-/// ranges of `[0, n)` from an atomic cursor until the queue drains.
-/// Use when per-item cost varies (graph inserts), where static chunks
-/// would leave threads idle behind one slow chunk.
-pub fn parallel_queue<F>(n: usize, threads: usize, grain: usize, f: F)
-where
-    F: Fn(usize, Range<usize>) + Sync,
-{
-    let threads = clamp_threads(threads, n);
-    if threads == 1 {
-        f(0, 0..n);
-        return;
-    }
-    let grain = grain.max(1);
-    let cursor = AtomicUsize::new(0);
-    std::thread::scope(|scope| {
-        let mut handles = Vec::with_capacity(threads);
-        for t in 0..threads {
-            let f = &f;
-            let cursor = &cursor;
-            handles.push(scope.spawn(move || loop {
-                let lo = cursor.fetch_add(grain, Ordering::Relaxed);
-                if lo >= n {
-                    break;
-                }
-                let hi = (lo + grain).min(n);
-                f(t, lo..hi);
-            }));
-        }
-        for h in handles {
-            h.join().expect("parallel_queue worker panicked");
-        }
-    });
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
 
     #[test]
     fn serial_options_are_serial() {
-        let opts = BuildOptions::serial();
-        assert_eq!(opts.effective_threads(), 1);
-        assert!(opts.is_serial());
-        let det = BuildOptions {
-            threads: 8,
-            deterministic: true,
-        };
-        assert!(det.is_serial(), "deterministic forces the serial path");
-        assert!(!BuildOptions::with_threads(4).is_serial());
+        assert_eq!(BuildOptions::serial().threads, 1);
+        assert_eq!(BuildOptions::with_threads(0).threads, 1);
+        assert_eq!(BuildOptions::with_threads(4).threads, 4);
     }
 
     #[test]
@@ -235,26 +113,12 @@ mod tests {
     }
 
     #[test]
-    fn parallel_for_covers_every_index_once() {
-        for &(n, threads) in &[(0, 4), (1, 4), (7, 3), (100, 4), (5, 16)] {
-            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            parallel_for(n, threads, |_, range| {
-                for i in range {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "n={n} threads={threads}"
-            );
-        }
-    }
-
-    #[test]
     fn map_chunks_preserves_chunk_order() {
-        let out = parallel_map_chunks(100, 4, |_, range| range.clone());
-        let flat: Vec<usize> = out.into_iter().flatten().collect();
-        assert_eq!(flat, (0..100).collect::<Vec<_>>());
+        for &(n, threads) in &[(0, 4), (1, 4), (7, 3), (100, 4), (5, 16)] {
+            let out = parallel_map_chunks(n, threads, |_, range| range.clone());
+            let flat: Vec<usize> = out.into_iter().flatten().collect();
+            assert_eq!(flat, (0..n).collect::<Vec<_>>(), "n={n} threads={threads}");
+        }
     }
 
     #[test]
@@ -264,31 +128,10 @@ mod tests {
     }
 
     #[test]
-    fn queue_covers_every_index_once() {
-        for &(n, threads, grain) in &[(0, 4, 8), (100, 4, 7), (33, 8, 1), (10, 2, 64)] {
-            let hits: Vec<AtomicUsize> = (0..n).map(|_| AtomicUsize::new(0)).collect();
-            parallel_queue(n, threads, grain, |_, range| {
-                for i in range {
-                    hits[i].fetch_add(1, Ordering::Relaxed);
-                }
-            });
-            assert!(
-                hits.iter().all(|h| h.load(Ordering::Relaxed) == 1),
-                "n={n} threads={threads} grain={grain}"
-            );
-        }
-    }
-
-    #[test]
     fn reduction_matches_serial_sum() {
         let n = 1000usize;
         let partials = parallel_map_chunks(n, 5, |_, range| range.map(|i| i as u64).sum::<u64>());
         let total: u64 = partials.iter().sum();
         assert_eq!(total, (n as u64 - 1) * n as u64 / 2);
-        let hits = AtomicU64::new(0);
-        parallel_for(n, 3, |_, range| {
-            hits.fetch_add(range.map(|i| i as u64).sum::<u64>(), Ordering::Relaxed);
-        });
-        assert_eq!(hits.load(Ordering::Relaxed), total);
     }
 }

@@ -7,26 +7,14 @@
 //! vendor a small generator (SplitMix64 for seeding, xoshiro256★★ for the
 //! stream) instead of depending on `rand`.
 //!
-//! # Stream splitting for parallel builds
+//! # Generators for parallel builds
 //!
 //! Multi-threaded builders must not thread one shared `&mut Rng` through
-//! their insert loops — the interleaving (and therefore the build) would
-//! depend on scheduling. Two splitting schemes are used instead, both
-//! independent of thread count:
-//!
-//! - [`Rng::stream`]`(seed, id)` derives the `id`-th generator from a
-//!   base seed *without* consuming any parent state: the pair is folded
-//!   as `seed XOR (id + 1) · GOLDEN_GAMMA` and pushed through one extra
-//!   SplitMix64 scramble before the usual four-word state expansion, so
-//!   adjacent ids (and the unsplit `seed_from_u64(seed)` stream itself)
-//!   are decorrelated. Use one stream per logical unit of work — per
-//!   node, per subspace, per shard — keyed by the unit's index, never by
-//!   the worker's.
-//! - [`Rng::fork`] consumes one parent draw to seed a child. It is
-//!   sequential by nature, so parallel builders pre-fork their children
-//!   serially (e.g. one generator per tree of a forest, forked in tree
-//!   order) and hand the children to workers; the forked sequence is
-//!   then identical to the serial build's.
+//! their work — the interleaving (and therefore the build) would depend
+//! on scheduling. [`Rng::fork`] consumes one parent draw to seed a child;
+//! parallel builders pre-fork their children serially (one generator per
+//! tree of a forest, forked in tree order) and hand the children to
+//! workers, so the forked sequence is identical to the serial build's.
 
 /// SplitMix64: used to expand a single `u64` seed into generator state.
 #[inline]
@@ -67,21 +55,6 @@ impl Rng {
     /// each tree in a forest its own deterministic generator.
     pub fn fork(&mut self) -> Self {
         Rng::seed_from_u64(self.next_u64() ^ 0xA5A5_A5A5_5A5A_5A5A)
-    }
-
-    /// Derive the `stream`-th independent generator from a base `seed`
-    /// without consuming any parent state (see the module docs on
-    /// stream splitting). The same `(seed, stream)` pair always yields
-    /// the same generator, regardless of how many threads a build uses
-    /// or in what order streams are created — the determinism anchor
-    /// for per-node / per-subspace randomness in parallel builds.
-    pub fn stream(seed: u64, stream: u64) -> Self {
-        // Fold the pair and scramble once so stream ids that differ in
-        // few bits (0, 1, 2, ...) land on unrelated seeds; `stream + 1`
-        // keeps stream 0 distinct from the plain `seed_from_u64(seed)`.
-        let mut folded = seed ^ stream.wrapping_add(1).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        let mixed = splitmix64(&mut folded);
-        Rng::seed_from_u64(mixed)
     }
 
     /// Next raw 64-bit output.
@@ -314,33 +287,6 @@ mod tests {
         let mut c2 = parent.fork();
         let same = (0..64).filter(|_| c1.next_u64() == c2.next_u64()).count();
         assert!(same < 4);
-    }
-
-    #[test]
-    fn stream_splitting_is_stable_and_decorrelated() {
-        // Same (seed, stream) pair → same generator.
-        let mut a = Rng::stream(42, 7);
-        let mut b = Rng::stream(42, 7);
-        for _ in 0..64 {
-            assert_eq!(a.next_u64(), b.next_u64());
-        }
-        // Adjacent streams, and the base stream, are unrelated.
-        let mut base = Rng::seed_from_u64(42);
-        let mut s0 = Rng::stream(42, 0);
-        let mut s1 = Rng::stream(42, 1);
-        let mut same_base = 0;
-        let mut same_adjacent = 0;
-        for _ in 0..64 {
-            let x0 = s0.next_u64();
-            if x0 == base.next_u64() {
-                same_base += 1;
-            }
-            if x0 == s1.next_u64() {
-                same_adjacent += 1;
-            }
-        }
-        assert!(same_base < 4, "stream 0 collides with the unsplit seed");
-        assert!(same_adjacent < 4, "adjacent streams collide");
     }
 
     #[test]

@@ -132,9 +132,20 @@ impl TopK {
     /// heap's allocation for the next query (the reusable counterpart of
     /// [`TopK::into_sorted`]).
     pub fn drain_sorted(&mut self) -> Vec<Neighbor> {
-        let mut v: Vec<Neighbor> = self.heap.drain().collect();
+        let mut v = Vec::with_capacity(self.heap.len());
+        v.extend(self.heap.drain());
         v.sort_unstable();
         v
+    }
+
+    /// Like [`TopK::drain_sorted`], but keep only the `k` best: the worse
+    /// entries are popped off the heap first, so the result allocates `k`
+    /// slots rather than the selector's full width.
+    pub fn drain_best(&mut self, k: usize) -> Vec<Neighbor> {
+        while self.heap.len() > k {
+            self.heap.pop();
+        }
+        self.drain_sorted()
     }
 }
 
@@ -194,6 +205,23 @@ mod tests {
         t.push(Neighbor::new(2, 0.5));
         assert_eq!(t.threshold(), 1.0);
         assert!(!t.push(Neighbor::new(3, 9.0)), "worse candidate rejected");
+    }
+
+    #[test]
+    fn drain_best_keeps_the_k_best_in_k_slots() {
+        let mut rng = Rng::seed_from_u64(22);
+        let cands: Vec<Neighbor> = (0..100).map(|id| Neighbor::new(id, rng.f32())).collect();
+        let mut t = TopK::new(64);
+        for &c in &cands {
+            t.push(c);
+        }
+        for k in [2, 10] {
+            let out = t.clone().drain_best(k);
+            assert!(out.capacity() <= k, "k={k}: capacity {}", out.capacity());
+            assert_eq!(out, top_k_by_sort(cands.clone(), k));
+        }
+        t.drain_best(10);
+        assert!(t.is_empty(), "drained");
     }
 
     #[test]

@@ -189,7 +189,7 @@ impl DistributedIndex {
             .map(|s| vectors.select(&partitioning.shard_rows(s)))
             .collect();
         let n_jobs = partitioning.n_shards * cfg.replicas;
-        let threads = clamp_threads(opts.effective_threads(), n_jobs);
+        let threads = clamp_threads(opts.threads, n_jobs);
         let built = parallel_map_chunks(n_jobs, threads, |_, range| {
             range
                 .map(|job| builder(slices[job / cfg.replicas].clone(), metric.clone()))

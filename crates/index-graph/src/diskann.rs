@@ -215,8 +215,8 @@ impl DiskAnnIndex {
     /// [`DiskAnnIndex::build`] with explicit [`BuildOptions`]: navigation
     /// k-means, coarse assignment, residual-PQ training, and residual
     /// encoding fan out over threads. Assignment and encoding are pure
-    /// per row and PQ subspaces train independently, so for a fixed
-    /// quantizer the on-disk image is bit-identical for any thread count.
+    /// per row and PQ subspaces train independently, so the on-disk image
+    /// is the same at any thread count.
     /// Page serialization stays serial.
     pub fn build_with<P: AsRef<Path>>(
         path: P,
@@ -264,7 +264,7 @@ impl DiskAnnIndex {
         )?;
         let nav_centroids = coarse.centroids().clone();
         // Coarse assignment is a pure per-row argmin; fan it out.
-        let threads = clamp_threads(opts.effective_threads(), n / 64);
+        let threads = clamp_threads(opts.threads, n / 64);
         let nav_assign: Vec<u32> = parallel_map_chunks(n, threads, |_, range| {
             range
                 .map(|row| coarse.assign(vectors.get(row)).0 as u32)

@@ -10,21 +10,8 @@
 use vdb_core::context::SearchContext;
 use vdb_core::index::RowFilter;
 use vdb_core::metric::Metric;
-use vdb_core::sync::Mutex;
 use vdb_core::topk::Neighbor;
 use vdb_core::vector::Vectors;
-
-/// A graph whose out-neighbor lists can be read one node at a time.
-///
-/// Beam search is generic over this so the same traversal runs on a
-/// frozen [`AdjacencyList`] (serial builds, queries) and on a
-/// [`SharedAdjacency`] whose lists sit behind per-node locks (parallel
-/// builds). The callback style lets the locked implementation scope its
-/// guard to the read without copying the list.
-pub trait NeighborSource: Sync {
-    /// Call `f` with the current out-neighbors of `u`.
-    fn with_neighbors<R>(&self, u: usize, f: impl FnOnce(&[u32]) -> R) -> R;
-}
 
 /// Directed adjacency lists over `u32` node ids.
 #[derive(Debug, Clone, Default)]
@@ -96,11 +83,6 @@ impl AdjacencyList {
         self.lists.iter().map(|l| l.capacity() * 4 + 24).sum()
     }
 
-    /// Consume the graph, returning the raw per-node lists.
-    pub fn into_lists(self) -> Vec<Vec<u32>> {
-        self.lists
-    }
-
     /// Build from raw per-node lists.
     pub fn from_lists(lists: Vec<Vec<u32>>) -> Self {
         AdjacencyList { lists }
@@ -125,88 +107,6 @@ impl AdjacencyList {
     }
 }
 
-impl NeighborSource for AdjacencyList {
-    #[inline]
-    fn with_neighbors<R>(&self, u: usize, f: impl FnOnce(&[u32]) -> R) -> R {
-        f(&self.lists[u])
-    }
-}
-
-/// Adjacency lists behind one mutex per node, for concurrent graph
-/// construction.
-///
-/// Workers inserting different nodes lock only the lists they touch, so
-/// inserts proceed in parallel; beam searches running concurrently take
-/// each lock just long enough to scan one list. The deadlock-freedom
-/// invariant: **no caller ever holds two node locks at once** — every
-/// mutation here locks a single node, and insert loops in the builders
-/// update `u -> v` and `v -> u` as two separate lock acquisitions.
-#[derive(Debug)]
-pub struct SharedAdjacency {
-    lists: Vec<Mutex<Vec<u32>>>,
-}
-
-impl SharedAdjacency {
-    /// `n` nodes with no edges.
-    pub fn new(n: usize) -> Self {
-        SharedAdjacency {
-            lists: (0..n).map(|_| Mutex::new(Vec::new())).collect(),
-        }
-    }
-
-    /// Take ownership of a frozen graph's lists.
-    pub fn from_adjacency(adj: AdjacencyList) -> Self {
-        SharedAdjacency {
-            lists: adj.into_lists().into_iter().map(Mutex::new).collect(),
-        }
-    }
-
-    /// Freeze into a plain [`AdjacencyList`] (requires exclusive
-    /// ownership, i.e. all workers joined).
-    pub fn into_adjacency(self) -> AdjacencyList {
-        AdjacencyList::from_lists(self.lists.into_iter().map(Mutex::into_inner).collect())
-    }
-
-    /// Number of nodes.
-    pub fn len(&self) -> usize {
-        self.lists.len()
-    }
-
-    /// Whether the graph has no nodes.
-    pub fn is_empty(&self) -> bool {
-        self.lists.is_empty()
-    }
-
-    /// Replace the out-neighbors of `u`.
-    pub fn set_neighbors(&self, u: usize, neighbors: Vec<u32>) {
-        *self.lists[u].lock() = neighbors;
-    }
-
-    /// Add an edge `u -> v` if absent. Returns whether it was added.
-    pub fn add_edge(&self, u: usize, v: u32) -> bool {
-        let mut list = self.lists[u].lock();
-        if list.contains(&v) {
-            false
-        } else {
-            list.push(v);
-            true
-        }
-    }
-
-    /// Lock node `u`'s list and run `f` on it. `f` must not touch any
-    /// other node's list (the single-lock invariant above).
-    pub fn update<R>(&self, u: usize, f: impl FnOnce(&mut Vec<u32>) -> R) -> R {
-        f(&mut self.lists[u].lock())
-    }
-}
-
-impl NeighborSource for SharedAdjacency {
-    #[inline]
-    fn with_neighbors<R>(&self, u: usize, f: impl FnOnce(&[u32]) -> R) -> R {
-        f(&self.lists[u].lock())
-    }
-}
-
 /// Statistics returned by a beam search (operator cost accounting).
 #[derive(Debug, Clone, Copy, Default)]
 pub struct SearchTrace {
@@ -223,12 +123,10 @@ pub struct SearchTrace {
 /// than the worst pooled result. Returns up to `k` neighbors best-first.
 ///
 /// All transient state (visited set, frontier, pools) lives in `ctx` and
-/// is epoch-reset here, so a warm context makes the search allocation-free.
-/// Generic over [`NeighborSource`] so parallel builders can search a
-/// [`SharedAdjacency`] while other workers insert into it.
+/// is epoch-reset here, so a warm context allocates only the `k` results.
 #[allow(clippy::too_many_arguments)]
-pub fn beam_search<A: NeighborSource>(
-    adj: &A,
+pub fn beam_search(
+    adj: &AdjacencyList,
     vectors: &Vectors,
     metric: &Metric,
     query: &[f32],
@@ -249,8 +147,8 @@ pub fn beam_search<A: NeighborSource>(
 /// visit-first, but if blocking disconnects the graph the search strands —
 /// the trade-off experiment F3 measures.
 #[allow(clippy::too_many_arguments)]
-pub fn beam_search_blocked<A: NeighborSource>(
-    adj: &A,
+pub fn beam_search_blocked(
+    adj: &AdjacencyList,
     vectors: &Vectors,
     metric: &Metric,
     query: &[f32],
@@ -290,8 +188,8 @@ pub fn beam_search_blocked<A: NeighborSource>(
 /// nodes stays `ef` while traversal is bounded by `expansion_cap` expanded
 /// nodes (backtracking control; see §2.6(3)).
 #[allow(clippy::too_many_arguments)]
-pub fn beam_search_filtered<A: NeighborSource>(
-    adj: &A,
+pub fn beam_search_filtered(
+    adj: &AdjacencyList,
     vectors: &Vectors,
     metric: &Metric,
     query: &[f32],
@@ -319,8 +217,8 @@ pub fn beam_search_filtered<A: NeighborSource>(
 }
 
 #[allow(clippy::too_many_arguments)]
-fn beam_search_impl<A: NeighborSource>(
-    adj: &A,
+fn beam_search_impl(
+    adj: &AdjacencyList,
     vectors: &Vectors,
     metric: &Metric,
     query: &[f32],
@@ -396,14 +294,11 @@ fn beam_search_impl<A: NeighborSource>(
         // for every unvisited neighbor (admission only gated heap pushes),
         // and admission order is unchanged, so results are identical.
         ids.clear();
-        adj.with_neighbors(cand.id, |neighbors| {
-            for &nb in neighbors {
-                let nb = nb as usize;
-                if visited.visit(nb) {
-                    ids.push(nb as u32);
-                }
+        for &nb in adj.neighbors(cand.id) {
+            if visited.visit(nb as usize) {
+                ids.push(nb);
             }
-        });
+        }
         dists.resize(ids.len(), 0.0);
         metric.distance_gather(query, vectors, ids, dists);
         evals += ids.len();
@@ -430,9 +325,7 @@ fn beam_search_impl<A: NeighborSource>(
         t.expanded += expanded;
         t.distance_evals += evals;
     }
-    let mut out = pool.drain_sorted();
-    out.truncate(k);
-    out
+    pool.drain_best(k)
 }
 
 /// Robust pruning (Vamana's α-RNG rule; α = 1 gives the MRNG rule used by
@@ -523,6 +416,25 @@ mod tests {
         assert_eq!(out[0].id, 7);
         assert_eq!(out[1].id, 8);
         assert_eq!(out[2].id, 6);
+    }
+
+    #[test]
+    fn result_allocates_k_not_ef() {
+        let (adj, v) = line_graph();
+        let mut ctx = SearchContext::new();
+        let out = beam_search(
+            &adj,
+            &v,
+            &Metric::Euclidean,
+            &[7.2],
+            &[0],
+            2,
+            8,
+            &mut ctx,
+            None,
+        );
+        assert_eq!(out.len(), 2);
+        assert!(out.capacity() <= 2, "capacity {}", out.capacity());
     }
 
     #[test]
@@ -641,61 +553,6 @@ mod tests {
         }
         // Centroid is ~21.2; nearest point is 3.0 (index 3).
         assert_eq!(medoid(&v, &Metric::Euclidean), 3);
-    }
-
-    #[test]
-    fn shared_adjacency_round_trips_and_searches() {
-        let (adj, v) = line_graph();
-        let shared = SharedAdjacency::from_adjacency(adj.clone());
-        assert_eq!(shared.len(), adj.len());
-        // Same traversal over the locked and the frozen graph.
-        let mut ctx = SearchContext::new();
-        let locked = beam_search(
-            &shared,
-            &v,
-            &Metric::Euclidean,
-            &[7.2],
-            &[0],
-            3,
-            8,
-            &mut ctx,
-            None,
-        );
-        let frozen = beam_search(
-            &adj,
-            &v,
-            &Metric::Euclidean,
-            &[7.2],
-            &[0],
-            3,
-            8,
-            &mut ctx,
-            None,
-        );
-        assert_eq!(locked, frozen);
-        // Concurrent edge insertion from many threads, then freeze.
-        let shared = SharedAdjacency::new(8);
-        std::thread::scope(|scope| {
-            for t in 0..4u32 {
-                let shared = &shared;
-                scope.spawn(move || {
-                    for u in 0..8usize {
-                        shared.add_edge(u, (u as u32 + t + 1) % 8);
-                        shared.add_edge(u, (u as u32 + 1) % 8); // contended dup
-                    }
-                });
-            }
-        });
-        let frozen = shared.into_adjacency();
-        for u in 0..8 {
-            let mut list = frozen.neighbors(u).to_vec();
-            let before = list.len();
-            list.dedup();
-            list.sort_unstable();
-            list.dedup();
-            assert_eq!(before, list.len(), "add_edge deduped under the lock");
-            assert_eq!(before, 4, "each node got its 4 distinct edges");
-        }
     }
 
     #[test]

@@ -7,16 +7,13 @@
 //! sets are chosen with the robust-prune heuristic (α = 1) to avoid the
 //! degree explosion of a flat NSW.
 
-use crate::graph::{
-    beam_search, beam_search_filtered, robust_prune, AdjacencyList, NeighborSource, SharedAdjacency,
-};
+use crate::graph::{beam_search, beam_search_filtered, robust_prune, AdjacencyList};
 use vdb_core::context::{self, SearchContext};
 use vdb_core::error::{Error, Result};
 use vdb_core::index::{
     check_query, IndexStats, MutableIndex, RowFilter, SearchParams, VectorIndex,
 };
 use vdb_core::metric::Metric;
-use vdb_core::parallel::{parallel_queue, BuildOptions};
 use vdb_core::rng::Rng;
 use vdb_core::topk::Neighbor;
 use vdb_core::vector::Vectors;
@@ -128,78 +125,6 @@ impl HnswIndex {
         for row in vectors.iter() {
             MutableIndex::insert(&mut idx, row)?;
         }
-        Ok(idx)
-    }
-
-    /// Build with explicit [`BuildOptions`]. The serial path (one thread
-    /// or `deterministic`) is exactly [`HnswIndex::build`]; the parallel
-    /// path inserts nodes concurrently over per-node-locked layers.
-    ///
-    /// Determinism notes for the parallel path: the per-node level draws
-    /// come from the same seeded stream the serial insert loop consumes
-    /// (so the layer structure, the entry point, and the generator state
-    /// left behind for future [`MutableIndex::insert`] calls are all
-    /// identical to a serial build); only the *edges* depend on insert
-    /// interleaving, which the recall-equivalence tests bound.
-    pub fn build_with(
-        vectors: Vectors,
-        metric: Metric,
-        cfg: HnswConfig,
-        opts: &BuildOptions,
-    ) -> Result<Self> {
-        if opts.is_serial() || vectors.len() <= 1 {
-            return HnswIndex::build(vectors, metric, cfg);
-        }
-        let threads = opts.effective_threads();
-        let mut idx = HnswIndex::new(vectors.dim(), metric, cfg)?;
-        let n = vectors.len();
-        // Pre-draw every node's level serially — the identical sequence
-        // the serial build would draw, one per insert.
-        let mut level_rng = Rng::seed_from_u64(idx.cfg.seed);
-        let mult = idx.mult;
-        let levels: Vec<usize> = (0..n).map(|_| level_rng.hnsw_level(mult)).collect();
-        let top = *levels.iter().max().expect("n > 1");
-        // The serial loop promotes the entry whenever a node exceeds the
-        // running max level, so it ends at the first global-max node.
-        let entry = levels.iter().position(|&l| l == top).expect("max exists");
-        let shared: Vec<SharedAdjacency> = (0..=top).map(|_| SharedAdjacency::new(n)).collect();
-        {
-            let metric = &idx.metric;
-            let cfg = &idx.cfg;
-            let vecs = &vectors;
-            let levels = &levels;
-            let shared = &shared;
-            parallel_queue(n, threads, 32, |_, range| {
-                // One thread-local scratch context per worker thread,
-                // reused across every insert it claims.
-                context::with_local(|ctx| {
-                    for row in range {
-                        if row != entry {
-                            parallel_insert(
-                                vecs,
-                                metric,
-                                cfg,
-                                shared,
-                                levels[row],
-                                top,
-                                entry,
-                                row,
-                                ctx,
-                            );
-                        }
-                    }
-                });
-            });
-        }
-        idx.layers = shared
-            .into_iter()
-            .map(SharedAdjacency::into_adjacency)
-            .collect();
-        idx.levels = levels;
-        idx.entry = entry;
-        idx.deleted = vec![false; n];
-        idx.vectors = vectors;
-        idx.rng = level_rng;
         Ok(idx)
     }
 
@@ -720,98 +645,6 @@ impl MutableIndex for HnswIndex {
     }
 }
 
-/// One concurrent insert into the shared layer stack: greedy descent
-/// through the upper layers, then beam + robust-prune + locked edge
-/// updates per layer. Locking discipline: at most one node lock is held
-/// at any time (each `update` call scopes its own guard), so concurrent
-/// inserts cannot deadlock.
-#[allow(clippy::too_many_arguments)]
-fn parallel_insert(
-    vectors: &Vectors,
-    metric: &Metric,
-    cfg: &HnswConfig,
-    layers: &[SharedAdjacency],
-    level: usize,
-    top: usize,
-    global_entry: usize,
-    row: usize,
-    ctx: &mut SearchContext,
-) {
-    let q = vectors.get(row);
-    let mut entry = global_entry;
-    // Greedy descent: copy each list out under its lock, score outside it.
-    let mut cur_d = metric.distance(q, vectors.get(entry));
-    let mut nbs: Vec<u32> = Vec::new();
-    for l in (level + 1..=top).rev() {
-        loop {
-            nbs.clear();
-            layers[l].with_neighbors(entry, |list| nbs.extend_from_slice(list));
-            let mut improved = false;
-            for &nb in &nbs {
-                let d = metric.distance(q, vectors.get(nb as usize));
-                if d < cur_d {
-                    cur_d = d;
-                    entry = nb as usize;
-                    improved = true;
-                }
-            }
-            if !improved {
-                break;
-            }
-        }
-    }
-    // Prune `list` (owned by `u`, whose lock the caller holds) down to
-    // `cap` with the same heuristic the serial `shrink` uses.
-    let prune_list = |u: usize, list: &mut Vec<u32>, cap: usize| {
-        if list.len() > cap {
-            let cands: Vec<Neighbor> = list
-                .iter()
-                .map(|&w| {
-                    Neighbor::new(
-                        w as usize,
-                        metric.distance(vectors.get(u), vectors.get(w as usize)),
-                    )
-                })
-                .collect();
-            *list = robust_prune(vectors, metric, u, cands, 1.0, cap);
-        }
-    };
-    for l in (0..=level.min(top)).rev() {
-        let found = beam_search(
-            &layers[l],
-            vectors,
-            metric,
-            q,
-            &[entry],
-            cfg.ef_construction,
-            cfg.ef_construction,
-            ctx,
-            None,
-        );
-        let kept = robust_prune(vectors, metric, row, found.clone(), 1.0, cfg.m);
-        let cap = if l == 0 { cfg.m * 2 } else { cfg.m };
-        layers[l].update(row, |list| {
-            for &v in &kept {
-                if !list.contains(&v) {
-                    list.push(v);
-                }
-            }
-            prune_list(row, list, cap);
-        });
-        for &v in &kept {
-            layers[l].update(v as usize, |list| {
-                if !list.contains(&(row as u32)) {
-                    list.push(row as u32);
-                }
-                prune_list(v as usize, list, cap);
-            });
-        }
-        if let Some(best) = found.first() {
-            entry = best.id;
-        }
-    }
-}
-
 impl std::fmt::Debug for HnswIndex {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         write!(
@@ -1032,22 +865,14 @@ mod tests {
         let mut rng = Rng::seed_from_u64(32);
         let data = dataset::gaussian(600, 8, &mut rng);
         let extra = dataset::gaussian(60, 8, &mut rng);
-        for opts in [BuildOptions::serial(), BuildOptions::with_threads(2)] {
-            let mut live = HnswIndex::build_with(
-                data.clone(),
-                Metric::Euclidean,
-                HnswConfig::default(),
-                &opts,
-            )
-            .unwrap();
-            let mut back = reload(&live);
-            for v in extra.iter() {
-                MutableIndex::insert(&mut live, v).unwrap();
-                MutableIndex::insert(&mut back, v).unwrap();
-            }
-            assert_eq!(back.levels, live.levels, "level generator re-derived");
-            assert_eq!(back.image(), live.image());
+        let mut live = HnswIndex::build(data, Metric::Euclidean, HnswConfig::default()).unwrap();
+        let mut back = reload(&live);
+        for v in extra.iter() {
+            MutableIndex::insert(&mut live, v).unwrap();
+            MutableIndex::insert(&mut back, v).unwrap();
         }
+        assert_eq!(back.levels, live.levels, "level generator re-derived");
+        assert_eq!(back.image(), live.image());
     }
 
     #[test]

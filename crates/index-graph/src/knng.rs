@@ -7,14 +7,12 @@
 //! offers each pair to each other's k-NN lists, until updates die out.
 
 use crate::graph::{beam_search, AdjacencyList};
-use std::sync::atomic::{AtomicUsize, Ordering};
 use vdb_core::context::SearchContext;
 use vdb_core::error::{Error, Result};
 use vdb_core::index::{check_query, IndexStats, SearchParams, VectorIndex};
 use vdb_core::metric::Metric;
-use vdb_core::parallel::{parallel_for, parallel_map_chunks, parallel_queue, BuildOptions};
+use vdb_core::parallel::{parallel_map_chunks, BuildOptions};
 use vdb_core::rng::Rng;
-use vdb_core::sync::Mutex;
 use vdb_core::topk::{Neighbor, TopK};
 use vdb_core::vector::Vectors;
 
@@ -64,8 +62,20 @@ pub struct KnngIndex {
 }
 
 impl KnngIndex {
-    /// Build the graph.
+    /// Build the graph serially.
     pub fn build(vectors: Vectors, metric: Metric, cfg: KnngConfig) -> Result<Self> {
+        Self::build_with(vectors, metric, cfg, &BuildOptions::serial())
+    }
+
+    /// Build the graph; `opts.threads` fans out the exact construction's
+    /// per-node scans (each row's top-k is independent, so the graph is
+    /// the same at any thread count). NN-Descent runs serially.
+    pub fn build_with(
+        vectors: Vectors,
+        metric: Metric,
+        cfg: KnngConfig,
+        opts: &BuildOptions,
+    ) -> Result<Self> {
         if cfg.k == 0 {
             return Err(Error::InvalidParameter("k must be positive".into()));
         }
@@ -78,7 +88,7 @@ impl KnngIndex {
         let mut rng = Rng::seed_from_u64(cfg.seed);
 
         let (adj, rounds_run) = if cfg.exact || n <= 64 || n <= k + 1 {
-            (exact_knng(&vectors, &metric, k, 1), 0)
+            (exact_knng(&vectors, &metric, k, opts.threads), 0)
         } else {
             nn_descent(&vectors, &metric, k, &cfg, &mut rng)
         };
@@ -86,53 +96,6 @@ impl KnngIndex {
         // A raw KNNG is weakly navigable: clusters can form disconnected
         // components, so search seeds many spread entry points (the
         // standard KGraph mitigation). ~sqrt(n) capped at 64.
-        let n_entries = ((n as f64).sqrt() as usize).clamp(1, 64).min(n);
-        let entries = rng.sample_indices(n, n_entries);
-        Ok(KnngIndex {
-            vectors,
-            metric,
-            adj,
-            cfg,
-            rounds_run,
-            entries,
-        })
-    }
-
-    /// Build with explicit [`BuildOptions`]. The serial path is exactly
-    /// [`KnngIndex::build`]. In parallel, exact construction fans the
-    /// per-node scans over chunks (bit-identical output — each row's
-    /// top-k is independent), while NN-Descent seeds each node's heap
-    /// from its own [`Rng::stream`] and runs the join rounds over
-    /// per-node heap locks (same convergence criterion, edge recall
-    /// proven equivalent by tests).
-    pub fn build_with(
-        vectors: Vectors,
-        metric: Metric,
-        cfg: KnngConfig,
-        opts: &BuildOptions,
-    ) -> Result<Self> {
-        if opts.is_serial() {
-            return KnngIndex::build(vectors, metric, cfg);
-        }
-        if cfg.k == 0 {
-            return Err(Error::InvalidParameter("k must be positive".into()));
-        }
-        if vectors.is_empty() {
-            return Err(Error::EmptyCollection);
-        }
-        metric.validate(vectors.dim())?;
-        let threads = opts.effective_threads();
-        let n = vectors.len();
-        let k = cfg.k.min(n.saturating_sub(1)).max(1);
-        let mut rng = Rng::seed_from_u64(cfg.seed);
-
-        let (adj, rounds_run) = if cfg.exact || n <= 64 || n <= k + 1 {
-            // `rng` is untouched here exactly as in the serial exact
-            // path, so the entry sample below matches it bit-for-bit.
-            (exact_knng(&vectors, &metric, k, threads), 0)
-        } else {
-            nn_descent_parallel(&vectors, &metric, k, &cfg, threads)
-        };
         let n_entries = ((n as f64).sqrt() as usize).clamp(1, 64).min(n);
         let entries = rng.sample_indices(n, n_entries);
         Ok(KnngIndex {
@@ -319,149 +282,6 @@ fn nn_descent(
         adj.set_neighbors(u, h.into_iter().map(|(v, _, _)| v).collect());
     }
     (adj, rounds)
-}
-
-/// NN-Descent over per-node heap locks. Structure mirrors [`nn_descent`]
-/// round for round; the differences are (1) each node's random init
-/// comes from its own [`Rng::stream`] so the start graph is independent
-/// of thread count, and (2) the join phase claims nodes from a work
-/// queue, inserting into both endpoints' heaps under their respective
-/// locks (never holding two at once — `try_insert` locks exactly one).
-fn nn_descent_parallel(
-    vectors: &Vectors,
-    metric: &Metric,
-    k: usize,
-    cfg: &KnngConfig,
-    threads: usize,
-) -> (AdjacencyList, usize) {
-    let n = vectors.len();
-    let heaps: Vec<Mutex<Vec<(u32, f32, bool)>>> = (0..n)
-        .map(|_| Mutex::new(Vec::with_capacity(k + 1)))
-        .collect();
-    let try_insert = |u: usize, v: u32, d: f32| -> bool {
-        let mut h = heaps[u].lock();
-        if h.iter().any(|&(x, _, _)| x == v) {
-            return false;
-        }
-        if h.len() < k {
-            h.push((v, d, true));
-            h.sort_unstable_by(|a, b| a.1.total_cmp(&b.1));
-            true
-        } else if d < h[k - 1].1 {
-            h[k - 1] = (v, d, true);
-            h.sort_unstable_by(|a, b| a.1.total_cmp(&b.1));
-            true
-        } else {
-            false
-        }
-    };
-
-    // Random initialization, one derived stream per node (no cross-node
-    // writes yet, so each heap is filled locally and stored once).
-    parallel_for(n, threads, |_, range| {
-        for u in range {
-            let mut r = Rng::stream(cfg.seed, u as u64);
-            let mut h: Vec<(u32, f32, bool)> = Vec::with_capacity(k + 1);
-            while h.len() < k {
-                let v = r.below(n);
-                if v != u && !h.iter().any(|&(x, _, _)| x == v as u32) {
-                    h.push((
-                        v as u32,
-                        metric.distance(vectors.get(u), vectors.get(v)),
-                        true,
-                    ));
-                }
-            }
-            h.sort_unstable_by(|a, b| a.1.total_cmp(&b.1));
-            *heaps[u].lock() = h;
-        }
-    });
-
-    let mut rounds = 0usize;
-    for round in 0..cfg.max_rounds {
-        rounds = round + 1;
-        // Forward new/old lists per node (own heap only), marking the
-        // sampled new entries old for the next round.
-        let forward = parallel_map_chunks(n, threads, |_, range| {
-            let mut lists: Vec<(Vec<u32>, Vec<u32>)> = Vec::with_capacity(range.len());
-            for u in range {
-                let mut h = heaps[u].lock();
-                let mut new_l = Vec::new();
-                let mut old_l = Vec::new();
-                for e in h.iter_mut() {
-                    if e.2 {
-                        new_l.push(e.0);
-                        e.2 = false;
-                    } else {
-                        old_l.push(e.0);
-                    }
-                }
-                lists.push((new_l, old_l));
-            }
-            lists
-        });
-        let (new_lists, old_lists): (Vec<Vec<u32>>, Vec<Vec<u32>>) =
-            forward.into_iter().flatten().unzip();
-        // Reverse lists, sampled (cheap; stays serial).
-        let mut rnew: Vec<Vec<u32>> = vec![Vec::new(); n];
-        let mut rold: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for u in 0..n {
-            for &v in &new_lists[u] {
-                if rnew[v as usize].len() < cfg.sample {
-                    rnew[v as usize].push(u as u32);
-                }
-            }
-            for &v in &old_lists[u] {
-                if rold[v as usize].len() < cfg.sample {
-                    rold[v as usize].push(u as u32);
-                }
-            }
-        }
-        // Join phase: the O(n k²) bulk of the build.
-        let updates = AtomicUsize::new(0);
-        {
-            let new_lists = &new_lists;
-            let old_lists = &old_lists;
-            let rnew = &rnew;
-            let rold = &rold;
-            let try_insert = &try_insert;
-            let updates = &updates;
-            parallel_queue(n, threads, 32, |_, range| {
-                for u in range {
-                    let mut new_pool = new_lists[u].clone();
-                    new_pool.extend_from_slice(&rnew[u]);
-                    new_pool.dedup();
-                    let mut old_pool = old_lists[u].clone();
-                    old_pool.extend_from_slice(&rold[u]);
-                    old_pool.dedup();
-                    for (i, &a) in new_pool.iter().enumerate() {
-                        for &b in new_pool[i + 1..].iter().chain(old_pool.iter()) {
-                            if a == b {
-                                continue;
-                            }
-                            let d =
-                                metric.distance(vectors.get(a as usize), vectors.get(b as usize));
-                            if try_insert(a as usize, b, d) {
-                                updates.fetch_add(1, Ordering::Relaxed);
-                            }
-                            if try_insert(b as usize, a, d) {
-                                updates.fetch_add(1, Ordering::Relaxed);
-                            }
-                        }
-                    }
-                }
-            });
-        }
-        if (updates.load(Ordering::Relaxed) as f64) < cfg.delta * (n * k) as f64 {
-            break;
-        }
-    }
-
-    let lists = heaps
-        .into_iter()
-        .map(|h| h.into_inner().into_iter().map(|(v, _, _)| v).collect())
-        .collect();
-    (AdjacencyList::from_lists(lists), rounds)
 }
 
 impl VectorIndex for KnngIndex {

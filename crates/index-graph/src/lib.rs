@@ -36,8 +36,7 @@ pub mod vamana;
 pub use diskann::{DiskAnnConfig, DiskAnnIndex};
 pub use filtered::{StitchedConfig, StitchedVamanaIndex};
 pub use graph::{
-    beam_search, beam_search_filtered, medoid, robust_prune, AdjacencyList, NeighborSource,
-    SearchTrace, SharedAdjacency,
+    beam_search, beam_search_filtered, medoid, robust_prune, AdjacencyList, SearchTrace,
 };
 pub use hnsw::{HnswConfig, HnswIndex};
 pub use knng::{KnngConfig, KnngIndex};

@@ -54,88 +54,22 @@ pub struct NsgIndex {
 }
 
 impl NsgIndex {
-    /// Build the graph.
+    /// Build the graph serially.
     pub fn build(vectors: Vectors, metric: Metric, cfg: NsgConfig) -> Result<Self> {
-        if cfg.r == 0 || cfg.l == 0 || cfg.knng_k == 0 {
-            return Err(Error::InvalidParameter(
-                "nsg needs r, l, knng_k >= 1".into(),
-            ));
-        }
-        if vectors.is_empty() {
-            return Err(Error::EmptyCollection);
-        }
-        metric.validate(vectors.dim())?;
-        let n = vectors.len();
-        let start = medoid(&vectors, &metric);
-
-        // Bootstrap KNNG.
-        let knng = KnngIndex::build(
-            vectors.clone(),
-            metric.clone(),
-            KnngConfig {
-                seed: cfg.seed,
-                ..KnngConfig::new(cfg.knng_k)
-            },
-        )?;
-        let kg = knng.adjacency();
-
-        // Edge selection per node.
-        let mut adj = AdjacencyList::new(n);
-        // One build-scoped scratch context serves every construction search.
-        let mut ctx = SearchContext::for_index(n);
-        for u in 0..n {
-            let q = vectors.get(u);
-            let mut pool = beam_search(
-                kg,
-                &vectors,
-                &metric,
-                q,
-                &[start],
-                cfg.l,
-                cfg.l,
-                &mut ctx,
-                None,
-            );
-            for &v in kg.neighbors(u) {
-                pool.push(Neighbor::new(
-                    v as usize,
-                    metric.distance(q, vectors.get(v as usize)),
-                ));
-            }
-            let kept = robust_prune(&vectors, &metric, u, pool, 1.0, cfg.r);
-            adj.set_neighbors(u, kept);
-        }
-
-        // Connectivity pass: attach any node unreachable from the medoid to
-        // its nearest reachable node (the "spanning" step of NSG).
-        let reattached = repair_connectivity(&mut adj, &vectors, &metric, start, cfg.l, &mut ctx);
-
-        Ok(NsgIndex {
-            vectors,
-            metric,
-            adj,
-            start,
-            cfg,
-            reattached,
-        })
+        Self::build_with(vectors, metric, cfg, &BuildOptions::serial())
     }
 
-    /// Build with explicit [`BuildOptions`]. The serial path is exactly
-    /// [`NsgIndex::build`]. In parallel, the bootstrap KNNG build is
-    /// forwarded the options, and the MRNG edge-selection pass — which
-    /// reads only the immutable KNNG and writes only its own node's list
-    /// — fans out over chunks; given the same bootstrap graph its output
-    /// is bit-identical for any thread count. The spanning pass stays
-    /// serial in both.
+    /// Build the graph. `opts` is forwarded to the bootstrap KNNG build,
+    /// and the MRNG edge-selection pass — which reads only the immutable
+    /// KNNG and writes only its own node's list — fans out over chunks,
+    /// so the graph is the same at any thread count. The spanning pass
+    /// runs serially.
     pub fn build_with(
         vectors: Vectors,
         metric: Metric,
         cfg: NsgConfig,
         opts: &BuildOptions,
     ) -> Result<Self> {
-        if opts.is_serial() {
-            return NsgIndex::build(vectors, metric, cfg);
-        }
         if cfg.r == 0 || cfg.l == 0 || cfg.knng_k == 0 {
             return Err(Error::InvalidParameter(
                 "nsg needs r, l, knng_k >= 1".into(),
@@ -145,7 +79,6 @@ impl NsgIndex {
             return Err(Error::EmptyCollection);
         }
         metric.validate(vectors.dim())?;
-        let threads = opts.effective_threads();
         let n = vectors.len();
         let start = medoid(&vectors, &metric);
 
@@ -161,7 +94,7 @@ impl NsgIndex {
         let kg = knng.adjacency();
 
         // Per-node edge selection over the immutable bootstrap graph.
-        let chunks = parallel_map_chunks(n, threads, |_, range| {
+        let chunks = parallel_map_chunks(n, opts.threads, |_, range| {
             let mut ctx = SearchContext::for_index(n);
             let mut lists: Vec<Vec<u32>> = Vec::with_capacity(range.len());
             for u in range {
@@ -189,6 +122,8 @@ impl NsgIndex {
         });
         let mut adj = AdjacencyList::from_lists(chunks.into_iter().flatten().collect());
 
+        // Connectivity pass: attach any node unreachable from the medoid to
+        // its nearest reachable node (the "spanning" step of NSG).
         let mut ctx = SearchContext::for_index(n);
         let reattached = repair_connectivity(&mut adj, &vectors, &metric, start, cfg.l, &mut ctx);
 

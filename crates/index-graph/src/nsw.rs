@@ -6,14 +6,13 @@
 //! as the graph densifies around them, which is what makes the flat graph
 //! navigable.
 
-use crate::graph::{beam_search, beam_search_filtered, AdjacencyList, SharedAdjacency};
+use crate::graph::{beam_search, beam_search_filtered, AdjacencyList};
 use vdb_core::context::{self, SearchContext};
 use vdb_core::error::{Error, Result};
 use vdb_core::index::{
     check_query, IndexStats, MutableIndex, RowFilter, SearchParams, VectorIndex,
 };
 use vdb_core::metric::Metric;
-use vdb_core::parallel::{parallel_queue, BuildOptions};
 use vdb_core::topk::Neighbor;
 use vdb_core::vector::Vectors;
 
@@ -88,62 +87,6 @@ impl NswIndex {
         for row in vectors.iter() {
             MutableIndex::insert(&mut idx, row)?;
         }
-        Ok(idx)
-    }
-
-    /// Build with explicit [`BuildOptions`]: the serial path is exactly
-    /// [`NswIndex::build`]; the parallel path runs the same
-    /// search-then-connect insert concurrently over a per-node-locked
-    /// graph (node 0 stays the fixed entry point). NSW has no build-time
-    /// randomness, so only insert interleaving distinguishes the two.
-    pub fn build_with(
-        vectors: Vectors,
-        metric: Metric,
-        cfg: NswConfig,
-        opts: &BuildOptions,
-    ) -> Result<Self> {
-        if opts.is_serial() || vectors.len() <= 1 {
-            return NswIndex::build(vectors, metric, cfg);
-        }
-        let threads = opts.effective_threads();
-        let mut idx = NswIndex::new(vectors.dim(), metric, cfg)?;
-        let n = vectors.len();
-        let shared = SharedAdjacency::new(n);
-        {
-            let metric = &idx.metric;
-            let cfg = &idx.cfg;
-            let vecs = &vectors;
-            let shared = &shared;
-            parallel_queue(n, threads, 32, |_, range| {
-                context::with_local(|ctx| {
-                    for row in range {
-                        if row == 0 {
-                            continue;
-                        }
-                        let found = beam_search(
-                            shared,
-                            vecs,
-                            metric,
-                            vecs.get(row),
-                            &[0],
-                            cfg.m,
-                            cfg.ef_construction,
-                            ctx,
-                            None,
-                        );
-                        for nb in found {
-                            if nb.id != row {
-                                shared.add_edge(row, nb.id as u32);
-                                shared.add_edge(nb.id, row as u32);
-                            }
-                        }
-                    }
-                });
-            });
-        }
-        idx.adj = shared.into_adjacency();
-        idx.deleted = vec![false; n];
-        idx.vectors = vectors;
         Ok(idx)
     }
 

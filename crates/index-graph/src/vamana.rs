@@ -7,15 +7,11 @@
 //! edges that make searches skip across the space — the key to DiskANN's
 //! low hop counts.
 
-use crate::graph::{
-    beam_search, beam_search_filtered, medoid, robust_prune, AdjacencyList, NeighborSource,
-    SharedAdjacency,
-};
-use vdb_core::context::{self, SearchContext};
+use crate::graph::{beam_search, beam_search_filtered, medoid, robust_prune, AdjacencyList};
+use vdb_core::context::SearchContext;
 use vdb_core::error::{Error, Result};
 use vdb_core::index::{check_query, IndexStats, RowFilter, SearchParams, VectorIndex};
 use vdb_core::metric::Metric;
-use vdb_core::parallel::{parallel_for, parallel_queue, BuildOptions};
 use vdb_core::rng::Rng;
 use vdb_core::topk::Neighbor;
 use vdb_core::vector::Vectors;
@@ -55,7 +51,8 @@ pub struct VamanaIndex {
 }
 
 impl VamanaIndex {
-    fn check_build_inputs(vectors: &Vectors, metric: &Metric, cfg: &VamanaConfig) -> Result<()> {
+    /// Build the graph.
+    pub fn build(vectors: Vectors, metric: Metric, cfg: VamanaConfig) -> Result<Self> {
         if cfg.r == 0 || cfg.l == 0 {
             return Err(Error::InvalidParameter(
                 "vamana needs r >= 1 and l >= 1".into(),
@@ -67,12 +64,7 @@ impl VamanaIndex {
         if vectors.is_empty() {
             return Err(Error::EmptyCollection);
         }
-        metric.validate(vectors.dim())
-    }
-
-    /// Build the graph.
-    pub fn build(vectors: Vectors, metric: Metric, cfg: VamanaConfig) -> Result<Self> {
-        Self::check_build_inputs(&vectors, &metric, &cfg)?;
+        metric.validate(vectors.dim())?;
         let n = vectors.len();
         let mut rng = Rng::seed_from_u64(cfg.seed);
         let start = medoid(&vectors, &metric);
@@ -152,130 +144,6 @@ impl VamanaIndex {
         })
     }
 
-    /// Build with explicit [`BuildOptions`]. The serial path is exactly
-    /// [`VamanaIndex::build`]; the parallel path runs both refinement
-    /// passes concurrently over a per-node-locked graph. The random init
-    /// graph uses one [`Rng::stream`] per node (thread-count independent)
-    /// instead of the serial build's single sequential generator, and the
-    /// connectivity-repair pass stays serial in both.
-    pub fn build_with(
-        vectors: Vectors,
-        metric: Metric,
-        cfg: VamanaConfig,
-        opts: &BuildOptions,
-    ) -> Result<Self> {
-        if opts.is_serial() || vectors.len() <= 1 {
-            return VamanaIndex::build(vectors, metric, cfg);
-        }
-        Self::check_build_inputs(&vectors, &metric, &cfg)?;
-        let threads = opts.effective_threads();
-        let n = vectors.len();
-        let mut rng = Rng::seed_from_u64(cfg.seed);
-        let start = medoid(&vectors, &metric);
-
-        // Random R-regular initial graph, one derived stream per node.
-        let shared = SharedAdjacency::new(n);
-        {
-            let shared = &shared;
-            let seed = cfg.seed;
-            let target = cfg.r.min(n - 1);
-            parallel_for(n, threads, |_, range| {
-                for u in range {
-                    let mut r = Rng::stream(seed, u as u64);
-                    let mut picks: Vec<u32> = Vec::with_capacity(target);
-                    while picks.len() < target {
-                        let v = r.below(n);
-                        if v != u && !picks.contains(&(v as u32)) {
-                            picks.push(v as u32);
-                        }
-                    }
-                    shared.set_neighbors(u, picks);
-                }
-            });
-        }
-
-        let mut order: Vec<usize> = (0..n).collect();
-        for pass_alpha in [1.0, cfg.alpha] {
-            rng.shuffle(&mut order);
-            let shared = &shared;
-            let order = &order;
-            let vectors = &vectors;
-            let metric = &metric;
-            parallel_queue(n, threads, 16, |_, range| {
-                context::with_local(|ctx| {
-                    let mut cur: Vec<u32> = Vec::new();
-                    for i in range {
-                        let u = order[i];
-                        let q = vectors.get(u);
-                        let mut pool = beam_search(
-                            shared,
-                            vectors,
-                            metric,
-                            q,
-                            &[start],
-                            cfg.l,
-                            cfg.l,
-                            ctx,
-                            None,
-                        );
-                        // Include current out-neighbors as candidates
-                        // (copied out so no lock is held while scoring).
-                        cur.clear();
-                        shared.with_neighbors(u, |list| cur.extend_from_slice(list));
-                        for &v in &cur {
-                            pool.push(Neighbor::new(
-                                v as usize,
-                                metric.distance(q, vectors.get(v as usize)),
-                            ));
-                        }
-                        let kept = robust_prune(vectors, metric, u, pool, pass_alpha, cfg.r);
-                        shared.set_neighbors(u, kept.clone());
-                        // Reverse edges, pruning receivers that overflow;
-                        // one lock per receiver, never two at once.
-                        for &v in &kept {
-                            let v = v as usize;
-                            shared.update(v, |list| {
-                                if !list.contains(&(u as u32)) {
-                                    list.push(u as u32);
-                                    if list.len() > cfg.r {
-                                        let cands: Vec<Neighbor> = list
-                                            .iter()
-                                            .map(|&w| {
-                                                Neighbor::new(
-                                                    w as usize,
-                                                    metric.distance(
-                                                        vectors.get(v),
-                                                        vectors.get(w as usize),
-                                                    ),
-                                                )
-                                            })
-                                            .collect();
-                                        *list = robust_prune(
-                                            vectors, metric, v, cands, pass_alpha, cfg.r,
-                                        );
-                                    }
-                                }
-                            });
-                        }
-                    }
-                });
-            });
-        }
-
-        let mut adj = shared.into_adjacency();
-        let mut ctx = SearchContext::for_index(n);
-        let repaired = repair_connectivity(&mut adj, &vectors, &metric, start, cfg.l, &mut ctx);
-
-        Ok(VamanaIndex {
-            vectors,
-            metric,
-            adj,
-            start,
-            cfg,
-            repaired,
-        })
-    }
-
     /// Edges added by the final connectivity-repair pass (diagnostics).
     pub fn repaired(&self) -> usize {
         self.repaired
@@ -302,9 +170,9 @@ impl VamanaIndex {
     }
 }
 
-/// Connectivity repair shared by the serial and parallel builds:
-/// α-pruning plus the degree cap can sever whole clusters from the
-/// navigating node on strongly clustered data (the cross-cluster edges
+/// Connectivity repair after the refinement passes: α-pruning plus the
+/// degree cap can sever whole clusters from the navigating node on
+/// strongly clustered data (the cross-cluster edges
 /// of the random init graph lose the degree-cap race to near
 /// neighbors). Like NSG, attach every unreachable node to its nearest
 /// reachable node so one best-first search serves all queries. Returns

@@ -17,8 +17,8 @@ use vdb_quant::{KMeans, KMeansConfig};
 pub(crate) const REMOVED: u32 = u32::MAX;
 
 /// Train a k-means coarse quantizer with `nlist` centroids, with
-/// explicit [`BuildOptions`] (parallel Lloyd iterations via
-/// [`KMeans::train_with`]).
+/// explicit [`BuildOptions`] (the assignment step of each Lloyd
+/// iteration fans out; see [`KMeans::train_with`]).
 pub(crate) fn train_coarse_with(
     vectors: &Vectors,
     nlist: usize,
@@ -47,7 +47,7 @@ pub(crate) fn train_coarse_with(
 /// Nearest-centroid id for every row, fanned out over threads. Pure per
 /// row, returned in row order — bit-identical for any thread count.
 pub(crate) fn assign_rows(coarse: &KMeans, vectors: &Vectors, opts: &BuildOptions) -> Vec<usize> {
-    let threads = clamp_threads(opts.effective_threads(), vectors.len() / 64);
+    let threads = clamp_threads(opts.threads, vectors.len() / 64);
     let chunks = parallel_map_chunks(vectors.len(), threads, |_, range| {
         range
             .map(|row| coarse.assign(vectors.get(row)).0)

@@ -86,8 +86,8 @@ impl<C: ListCodec> Ivf<C> {
     /// Build with explicit [`BuildOptions`]: coarse training, row
     /// assignment, codec training and encoding fan out over threads.
     /// Assignment and encoding are pure per row and the scatter walks rows
-    /// in ascending order, so for a fixed quantizer the lists and code
-    /// blocks are bit-identical for any thread count.
+    /// in ascending order, so the lists and code blocks are the same at
+    /// any thread count.
     pub fn build_with(
         vectors: Vectors,
         metric: Metric,
@@ -102,7 +102,7 @@ impl<C: ListCodec> Ivf<C> {
         // Row-major codes, then gathered into per-list blocks in list
         // order (== ascending row order within each list).
         let cl = codec.code_len();
-        let threads = clamp_threads(opts.effective_threads(), vectors.len() / 64);
+        let threads = clamp_threads(opts.threads, vectors.len() / 64);
         let flat = parallel_map_chunks(vectors.len(), threads, |_, range| {
             let mut block = vec![0u8; range.len() * cl];
             let mut scratch = C::Scratch::default();

@@ -74,7 +74,7 @@ pub struct SpannIndex {
 }
 
 impl SpannIndex {
-    /// Build the index into the file at `path` (serial, deterministic).
+    /// Build the index into the file at `path` on one thread.
     pub fn build<P: AsRef<Path>>(
         path: P,
         vectors: &Vectors,
@@ -87,8 +87,8 @@ impl SpannIndex {
     /// [`SpannIndex::build`] with explicit [`BuildOptions`]: k-means
     /// training and closure assignment fan out over row chunks (closure
     /// membership is a pure per-row test; per-chunk partial lists merge in
-    /// chunk order, so the on-disk layout is bit-identical for a fixed
-    /// quantizer). Page serialization stays serial.
+    /// chunk order, so the on-disk layout is the same at any thread
+    /// count). Page serialization stays serial.
     pub fn build_with<P: AsRef<Path>>(
         path: P,
         vectors: &Vectors,
@@ -131,7 +131,7 @@ impl SpannIndex {
         // Closure assignment: pure per-row membership test, fanned out
         // over chunks; partial lists merge in chunk order so every list
         // keeps ascending row order.
-        let threads = clamp_threads(opts.effective_threads(), vectors.len() / 64);
+        let threads = clamp_threads(opts.threads, vectors.len() / 64);
         let parts = parallel_map_chunks(vectors.len(), threads, |_, range| {
             let mut lists: Vec<Vec<u32>> = vec![Vec::new(); nlist];
             let mut replicated = 0usize;

@@ -173,7 +173,7 @@ impl ForestIndex {
         // regardless of which thread builds it.
         let mut rng = Rng::seed_from_u64(cfg.seed);
         let tree_rngs: Vec<Mutex<Rng>> = (0..cfg.n_trees).map(|_| Mutex::new(rng.fork())).collect();
-        let threads = clamp_threads(opts.effective_threads(), cfg.n_trees);
+        let threads = clamp_threads(opts.threads, cfg.n_trees);
         let trees: Vec<Tree> = parallel_map_chunks(cfg.n_trees, threads, |_, range| {
             range
                 .map(|i| {

@@ -46,36 +46,45 @@ pub struct KMeans {
 }
 
 impl KMeans {
-    /// Train on `data`. `k` is clamped to the number of points.
+    /// Train on `data` serially. `k` is clamped to the number of points.
     pub fn train(data: &Vectors, cfg: &KMeansConfig) -> Result<Self> {
+        KMeans::train_with(data, cfg, &BuildOptions::serial())
+    }
+
+    /// Train on `data`, fanning each Lloyd iteration's assignment step
+    /// out over row chunks. Each row's nearest centroid is a pure
+    /// function of the frozen centroids; the inertia sum, the centroid
+    /// update and the empty-cluster reseeding then run serially in row
+    /// order, so the model is the same at any thread count.
+    pub fn train_with(data: &Vectors, cfg: &KMeansConfig, opts: &BuildOptions) -> Result<Self> {
         if data.is_empty() {
             return Err(Error::EmptyCollection);
         }
         if cfg.k == 0 {
             return Err(Error::InvalidParameter("k must be positive".into()));
         }
+        let threads = clamp_threads(opts.threads, data.len() / 64);
         let k = cfg.k.min(data.len());
         let dim = data.dim();
         let mut rng = Rng::seed_from_u64(cfg.seed);
         let mut centroids = plus_plus_init(data, k, &mut rng);
-        let mut assign = vec![0usize; data.len()];
         let mut prev_inertia = f64::INFINITY;
         let mut inertia = 0.0;
         let mut iterations = 0;
         for iter in 0..cfg.max_iters {
             iterations = iter + 1;
             // Assignment step.
-            inertia = 0.0;
-            for (i, row) in data.iter().enumerate() {
-                let (best, d) = nearest_centroid(&centroids, row);
-                assign[i] = best;
-                inertia += d as f64;
-            }
+            let assign = parallel_map_chunks(data.len(), threads, |_, range| {
+                range
+                    .map(|i| nearest_centroid(&centroids, data.get(i)))
+                    .collect::<Vec<_>>()
+            })
+            .concat();
+            inertia = assign.iter().map(|&(_, d)| d as f64).sum();
             // Update step.
             let mut sums = vec![0.0f64; k * dim];
             let mut counts = vec![0usize; k];
-            for (i, row) in data.iter().enumerate() {
-                let c = assign[i];
+            for (row, &(c, _)) in data.iter().zip(&assign) {
                 counts[c] += 1;
                 for (s, &x) in sums[c * dim..(c + 1) * dim].iter_mut().zip(row) {
                     *s += x as f64;
@@ -84,95 +93,6 @@ impl KMeans {
             for c in 0..k {
                 if counts[c] == 0 {
                     // Reseed empty cluster at a random data point.
-                    let p = data.get(rng.below(data.len()));
-                    centroids.get_mut(c).copy_from_slice(p);
-                    continue;
-                }
-                let inv = 1.0 / counts[c] as f64;
-                for (dst, &s) in centroids
-                    .get_mut(c)
-                    .iter_mut()
-                    .zip(&sums[c * dim..(c + 1) * dim])
-                {
-                    *dst = (s * inv) as f32;
-                }
-            }
-            if prev_inertia.is_finite() {
-                let improvement = (prev_inertia - inertia) / prev_inertia.max(1e-30);
-                if improvement >= 0.0 && improvement < cfg.tolerance {
-                    break;
-                }
-            }
-            prev_inertia = inertia;
-        }
-        Ok(KMeans {
-            centroids,
-            inertia,
-            iterations,
-        })
-    }
-
-    /// Train with explicit [`BuildOptions`]. The serial path is exactly
-    /// [`KMeans::train`]. In parallel, each Lloyd iteration fans the fused
-    /// assignment/accumulation scan out over row chunks; per-chunk partial
-    /// sums (`f64` inertia, centroid sums, counts) are merged in chunk
-    /// order, then the centroid update, empty-cluster reseeding, and
-    /// convergence check run serially exactly as in the serial path.
-    /// Seeding (k-means++) is always serial, so the parallel path differs
-    /// from serial only in floating-point summation order.
-    pub fn train_with(data: &Vectors, cfg: &KMeansConfig, opts: &BuildOptions) -> Result<Self> {
-        let threads = clamp_threads(opts.effective_threads(), data.len() / 64);
-        if threads <= 1 {
-            return KMeans::train(data, cfg);
-        }
-        if data.is_empty() {
-            return Err(Error::EmptyCollection);
-        }
-        if cfg.k == 0 {
-            return Err(Error::InvalidParameter("k must be positive".into()));
-        }
-        let k = cfg.k.min(data.len());
-        let dim = data.dim();
-        let mut rng = Rng::seed_from_u64(cfg.seed);
-        let mut centroids = plus_plus_init(data, k, &mut rng);
-        let mut prev_inertia = f64::INFINITY;
-        let mut inertia = 0.0;
-        let mut iterations = 0;
-        for iter in 0..cfg.max_iters {
-            iterations = iter + 1;
-            // Fused assignment + accumulation: each chunk scans its rows
-            // against the frozen centroids and builds private partials.
-            let partials = parallel_map_chunks(data.len(), threads, |_, range| {
-                let mut p_inertia = 0.0f64;
-                let mut p_sums = vec![0.0f64; k * dim];
-                let mut p_counts = vec![0usize; k];
-                for i in range {
-                    let row = data.get(i);
-                    let (best, d) = nearest_centroid(&centroids, row);
-                    p_inertia += d as f64;
-                    p_counts[best] += 1;
-                    for (s, &x) in p_sums[best * dim..(best + 1) * dim].iter_mut().zip(row) {
-                        *s += x as f64;
-                    }
-                }
-                (p_inertia, p_sums, p_counts)
-            });
-            // Merge in chunk order (deterministic for a fixed thread count).
-            inertia = 0.0;
-            let mut sums = vec![0.0f64; k * dim];
-            let mut counts = vec![0usize; k];
-            for (p_inertia, p_sums, p_counts) in partials {
-                inertia += p_inertia;
-                for (s, p) in sums.iter_mut().zip(&p_sums) {
-                    *s += p;
-                }
-                for (c, p) in counts.iter_mut().zip(&p_counts) {
-                    *c += p;
-                }
-            }
-            // Update step, identical to the serial path.
-            for c in 0..k {
-                if counts[c] == 0 {
                     let p = data.get(rng.below(data.len()));
                     centroids.get_mut(c).copy_from_slice(p);
                     continue;
@@ -436,18 +356,11 @@ mod tests {
             &BuildOptions::with_threads(4),
         )
         .unwrap();
-        // Parallel differs from serial only in f64 summation order, so the
-        // final inertia must agree to high relative precision.
-        let rel = (par.inertia - serial.inertia).abs() / serial.inertia.max(1e-12);
-        assert!(rel < 1e-6, "inertia diverged: {rel}");
-        for center in c.centers.iter() {
-            let (_, d) = par.assign(center);
-            assert!(d < 0.5, "no parallel centroid near a true center");
-        }
-        // Deterministic options reproduce the serial path bit-for-bit.
-        let det =
-            KMeans::train_with(&c.vectors, &KMeansConfig::new(4), &BuildOptions::serial()).unwrap();
-        assert_eq!(det.centroids().as_flat(), serial.centroids().as_flat());
+        // Only the assignment fans out, so the model is bit-identical.
+        let bits = |v: &Vectors| v.as_flat().iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        assert_eq!(bits(par.centroids()), bits(serial.centroids()));
+        assert_eq!(par.inertia.to_bits(), serial.inertia.to_bits());
+        assert_eq!(par.iterations, serial.iterations);
     }
 
     #[test]

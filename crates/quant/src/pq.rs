@@ -87,52 +87,15 @@ impl AdcTable {
 }
 
 impl ProductQuantizer {
-    /// Train codebooks on `data`.
+    /// Train codebooks on `data` serially.
     pub fn train(data: &Vectors, cfg: &PqConfig) -> Result<Self> {
-        if data.is_empty() {
-            return Err(Error::EmptyCollection);
-        }
-        let dim = data.dim();
-        if cfg.m == 0 || !dim.is_multiple_of(cfg.m) {
-            return Err(Error::InvalidParameter(format!(
-                "m={} must divide dimension {dim}",
-                cfg.m
-            )));
-        }
-        if cfg.nbits == 0 || cfg.nbits > 8 {
-            return Err(Error::InvalidParameter("nbits must be in 1..=8".into()));
-        }
-        let m = cfg.m;
-        let dsub = dim / m;
-        let ksub = 1usize << cfg.nbits;
-        let mut codebooks = vec![0.0f32; m * ksub * dsub];
-        for sub in 0..m {
-            train_subspace(
-                data,
-                cfg,
-                sub,
-                dsub,
-                ksub,
-                &mut codebooks[sub * ksub * dsub..(sub + 1) * ksub * dsub],
-            )?;
-        }
-        Ok(ProductQuantizer {
-            dim,
-            m,
-            dsub,
-            ksub,
-            codebooks,
-        })
+        ProductQuantizer::train_with(data, cfg, &BuildOptions::serial())
     }
 
-    /// Train with explicit [`BuildOptions`]. Subspace codebooks are
-    /// independent k-means problems seeded `seed + sub`, so they fan out
-    /// over threads and the result is **bit-identical** to
-    /// [`ProductQuantizer::train`] for any thread count.
+    /// Train codebooks on `data`. Subspace codebooks are independent
+    /// k-means problems seeded `seed + sub`, so they fan out over threads
+    /// and the result is the same at any thread count.
     pub fn train_with(data: &Vectors, cfg: &PqConfig, opts: &BuildOptions) -> Result<Self> {
-        if opts.is_serial() {
-            return ProductQuantizer::train(data, cfg);
-        }
         if data.is_empty() {
             return Err(Error::EmptyCollection);
         }
@@ -149,7 +112,7 @@ impl ProductQuantizer {
         let m = cfg.m;
         let dsub = dim / m;
         let ksub = 1usize << cfg.nbits;
-        let threads = clamp_threads(opts.effective_threads(), m);
+        let threads = clamp_threads(opts.threads, m);
         let blocks = parallel_map_chunks(m, threads, |_, range| -> Result<Vec<f32>> {
             let mut block = vec![0.0f32; range.len() * ksub * dsub];
             for (slot, sub) in range.enumerate() {
@@ -188,7 +151,7 @@ impl ProductQuantizer {
             });
         }
         let m = self.m;
-        let threads = clamp_threads(opts.effective_threads(), data.len() / 64);
+        let threads = clamp_threads(opts.threads, data.len() / 64);
         let chunks = parallel_map_chunks(data.len(), threads, |_, range| {
             let mut codes = vec![0u8; range.len() * m];
             for (slot, row) in range.enumerate() {

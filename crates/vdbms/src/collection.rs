@@ -188,8 +188,8 @@ pub struct CollectionConfig {
     /// Directory for the write-ahead log (None = no durability).
     pub wal_dir: Option<PathBuf>,
     /// Build options for merge-time index rebuilds. Defaults to serial so
-    /// merges stay bit-reproducible; set `threads > 1` to opt into
-    /// multi-threaded rebuilds.
+    /// a rebuild never competes with searches for cores; `threads > 1`
+    /// shortens rebuilds without changing the index they produce.
     pub build: BuildOptions,
 }
 

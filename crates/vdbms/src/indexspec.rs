@@ -260,16 +260,17 @@ impl IndexSpec {
         .collect()
     }
 
-    /// Build an index over an owned collection (serial, deterministic).
+    /// Build an index over an owned collection on one thread.
     pub fn build(&self, vectors: Vectors, metric: Metric) -> Result<Box<dyn VectorIndex>> {
         self.build_with(vectors, metric, &BuildOptions::serial())
     }
 
     /// Build an index over an owned collection with explicit
-    /// [`BuildOptions`], forwarded to every family that has a parallel
-    /// builder. Flat, LSH, and the single-tree kd/PCA indexes build
-    /// serially regardless — their builds are either trivial or
-    /// inherently sequential.
+    /// [`BuildOptions`], forwarded to every family whose build has a
+    /// per-item fan-out (the IVFs, SPANN, DiskANN's navigation codes, the
+    /// forests, KNNG and NSG). The index is the same at any thread count;
+    /// the graph-insert families (NSW, HNSW, Vamana), Flat, LSH and the
+    /// single-tree kd/PCA indexes always build on one thread.
     pub fn build_with(
         &self,
         vectors: Vectors,
@@ -303,22 +304,16 @@ impl IndexSpec {
             IndexSpec::Knng(cfg) => {
                 Box::new(KnngIndex::build_with(vectors, metric, cfg.clone(), opts)?)
             }
-            IndexSpec::Nsw(cfg) => {
-                Box::new(NswIndex::build_with(vectors, metric, cfg.clone(), opts)?)
-            }
-            IndexSpec::Hnsw(cfg) => {
-                Box::new(HnswIndex::build_with(vectors, metric, cfg.clone(), opts)?)
-            }
+            IndexSpec::Nsw(cfg) => Box::new(NswIndex::build(vectors, metric, cfg.clone())?),
+            IndexSpec::Hnsw(cfg) => Box::new(HnswIndex::build(vectors, metric, cfg.clone())?),
             IndexSpec::Nsg(cfg) => {
                 Box::new(NsgIndex::build_with(vectors, metric, cfg.clone(), opts)?)
             }
-            IndexSpec::Vamana(cfg) => {
-                Box::new(VamanaIndex::build_with(vectors, metric, cfg.clone(), opts)?)
-            }
+            IndexSpec::Vamana(cfg) => Box::new(VamanaIndex::build(vectors, metric, cfg.clone())?),
             IndexSpec::DiskAnn { memory_fraction } => {
                 let dim = vectors.dim();
                 let budget = budget_pages(vectors.len(), dim, *memory_fraction);
-                let vam = VamanaIndex::build_with(vectors, metric, VamanaConfig::default(), opts)?;
+                let vam = VamanaIndex::build(vectors, metric, VamanaConfig::default())?;
                 let dir = vdb_storage::TempDir::new("spec-diskann")?;
                 let path = dir.file(DISKANN_FILE);
                 let inner = DiskAnnIndex::build_with(

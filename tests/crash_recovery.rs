@@ -501,9 +501,9 @@ fn crash_sweep_checkpoint_preserves_inverted_index() {
 }
 
 /// HNSW collections whose checkpoints carry the index image. Answers at
-/// a small beam depend on the exact graph, and the build honors
-/// `VDB_BUILD_THREADS`: under a parallel build a rebuild is a different
-/// graph than the one served, so only the image can reproduce answers.
+/// a small beam depend on the exact graph: recovery must land on the
+/// graph that was served, loaded from the image or rebuilt from the
+/// pre-crash rows, never a graph over a torn row set.
 mod image {
     use super::*;
     use vdb_core::{dataset, Rng, Vectors};
@@ -526,7 +526,6 @@ mod image {
             merge_threshold: 1000,
             merge_mode: MergeMode::Background,
             wal_dir: Some(dir.path().to_path_buf()),
-            build: BuildOptions::default(),
             ..Default::default()
         }
     }

@@ -10,7 +10,6 @@
 use std::path::Path;
 use vdb::{Collection, CollectionConfig, CollectionSchema, IndexSpec, MergeMode};
 use vdb_core::attr::{AttrType, AttrValue};
-use vdb_core::parallel::BuildOptions;
 use vdb_core::{dataset, Metric, Rng, SearchParams, Vectors};
 use vdb_index_graph::HnswConfig;
 use vdb_storage::{snapshot, Checkpoint, TempDir};
@@ -24,13 +23,12 @@ fn schema() -> CollectionSchema {
     CollectionSchema::new("img", DIM, Metric::Euclidean).column("tag", AttrType::Int)
 }
 
-fn cfg(dir: &Path, index: IndexSpec, mode: MergeMode, build: BuildOptions) -> CollectionConfig {
+fn cfg(dir: &Path, index: IndexSpec, mode: MergeMode) -> CollectionConfig {
     CollectionConfig {
         index,
         merge_threshold: 200,
         merge_mode: mode,
         wal_dir: Some(dir.to_path_buf()),
-        build,
         ..CollectionConfig::default()
     }
 }
@@ -78,8 +76,8 @@ fn answers(c: &Collection, queries: &Vectors) -> Answers {
 }
 
 /// A checkpointed collection of `ROWS` rows (merged, buffer empty).
-fn checkpointed(dir: &Path, index: IndexSpec, build: BuildOptions, rows: &Vectors) -> Collection {
-    let mut c = Collection::create(schema(), cfg(dir, index, MergeMode::Blocking, build)).unwrap();
+fn checkpointed(dir: &Path, index: IndexSpec, rows: &Vectors) -> Collection {
+    let mut c = Collection::create(schema(), cfg(dir, index, MergeMode::Blocking)).unwrap();
     insert_rows(&mut c, rows, 0..ROWS);
     c.checkpoint().unwrap();
     assert_eq!(c.stats().buffered, 0);
@@ -107,17 +105,17 @@ fn copy_with(dir: &Path, edit: impl FnOnce(&mut Checkpoint)) -> TempDir {
     out
 }
 
-fn recover(dir: &Path, index: IndexSpec, build: BuildOptions) -> Collection {
-    Collection::recover(schema(), cfg(dir, index, MergeMode::Blocking, build)).unwrap()
+fn recover(dir: &Path, index: IndexSpec) -> Collection {
+    Collection::recover(schema(), cfg(dir, index, MergeMode::Blocking)).unwrap()
 }
 
-/// Under a serial build: the recovered collection answers bit-identically
+/// The recovered collection answers bit-identically
 /// to the one that was checkpointed, through the image, and a forced
 /// rebuild (the same snapshot with its image stripped) agrees too.
 fn image_path_is_bit_identical(index: IndexSpec, seed: u64) {
     let (rows, queries) = data(seed);
     let dir = TempDir::new("img-served").unwrap();
-    let c = checkpointed(dir.path(), index.clone(), BuildOptions::serial(), &rows);
+    let c = checkpointed(dir.path(), index.clone(), &rows);
     let served = answers(&c, &queries);
     assert!(
         read_ckpt(dir.path()).index.is_some(),
@@ -125,13 +123,13 @@ fn image_path_is_bit_identical(index: IndexSpec, seed: u64) {
     );
     drop(c);
 
-    let r = recover(dir.path(), index.clone(), BuildOptions::serial());
+    let r = recover(dir.path(), index.clone());
     assert!(r.stats().index_from_image, "recovery took the image path");
     assert_eq!(r.stats().index_name, index.name());
     assert_eq!(answers(&r, &queries), served, "recovered answers");
 
     let legacy = copy_with(dir.path(), |ck| ck.index = None);
-    let rebuilt = recover(legacy.path(), index, BuildOptions::serial());
+    let rebuilt = recover(legacy.path(), index);
     assert!(
         !rebuilt.stats().index_from_image,
         "image-less snapshot rebuilds"
@@ -150,38 +148,16 @@ fn diskann_recovers_through_its_image() {
 }
 
 #[test]
-fn parallel_built_graph_survives_recovery() {
-    // A parallel build is not reproducible, so only the image can give
-    // back the graph that was served.
-    let (rows, queries) = data(3502);
-    let dir = TempDir::new("img-par").unwrap();
-    let c = checkpointed(dir.path(), hnsw(), BuildOptions::with_threads(2), &rows);
-    let served = answers(&c, &queries);
-    drop(c);
-    let r = recover(dir.path(), hnsw(), BuildOptions::with_threads(2));
-    assert!(r.stats().index_from_image);
-    assert_eq!(answers(&r, &queries), served);
-}
-
-#[test]
 fn unusable_images_fall_back_to_a_correct_rebuild() {
     let (rows, queries) = data(3503);
     let dir = TempDir::new("img-fallback").unwrap();
-    drop(checkpointed(
-        dir.path(),
-        hnsw(),
-        BuildOptions::serial(),
-        &rows,
-    ));
+    drop(checkpointed(dir.path(), hnsw(), &rows));
     let rebuilt = |index: IndexSpec| {
         let legacy = copy_with(dir.path(), |ck| ck.index = None);
-        answers(
-            &recover(legacy.path(), index, BuildOptions::serial()),
-            &queries,
-        )
+        answers(&recover(legacy.path(), index), &queries)
     };
     let expect_rebuild = |name: &str, copy: TempDir, index: IndexSpec| {
-        let r = recover(copy.path(), index.clone(), BuildOptions::serial());
+        let r = recover(copy.path(), index.clone());
         assert!(!r.stats().index_from_image, "{name}: image must be refused");
         assert_eq!(r.len(), ROWS, "{name}");
         assert_eq!(answers(&r, &queries), rebuilt(index), "{name}");
@@ -207,7 +183,7 @@ fn unusable_images_fall_back_to_a_correct_rebuild() {
             col.values.pop();
         }
     });
-    let r = recover(fewer.path(), hnsw(), BuildOptions::serial());
+    let r = recover(fewer.path(), hnsw());
     assert!(!r.stats().index_from_image, "row-count mismatch");
     assert_eq!(r.len(), ROWS - 1);
 
@@ -232,10 +208,7 @@ fn unusable_images_fall_back_to_a_correct_rebuild() {
 fn damaged_diskann_image_falls_back() {
     let (rows, queries) = data(3504);
     let dir = TempDir::new("img-disk-fallback").unwrap();
-    let served = answers(
-        &checkpointed(dir.path(), diskann(), BuildOptions::serial(), &rows),
-        &queries,
-    );
+    let served = answers(&checkpointed(dir.path(), diskann(), &rows), &queries);
     let cut = copy_with(dir.path(), |ck| {
         let image = ck.index.as_mut().unwrap();
         image.truncate(image.len() / 2);
@@ -246,7 +219,7 @@ fn damaged_diskann_image_falls_back() {
         ck.index.as_mut().unwrap()[24..28].copy_from_slice(&u32::MAX.to_le_bytes());
     });
     for damaged in [cut, inflated] {
-        let r = recover(damaged.path(), diskann(), BuildOptions::serial());
+        let r = recover(damaged.path(), diskann());
         assert!(!r.stats().index_from_image);
         assert_eq!(answers(&r, &queries), served);
     }
@@ -256,12 +229,7 @@ fn damaged_diskann_image_falls_back() {
 fn in_place_checkpoint_writes_an_image_only_without_dead_rows() {
     let (rows, queries) = data(3505);
     let dir = TempDir::new("img-incr").unwrap();
-    let conf = cfg(
-        dir.path(),
-        hnsw(),
-        MergeMode::Incremental,
-        BuildOptions::serial(),
-    );
+    let conf = cfg(dir.path(), hnsw(), MergeMode::Incremental);
     let mut c = Collection::create(schema(), conf.clone()).unwrap();
     insert_rows(&mut c, &rows, 0..ROWS);
     c.merge().unwrap();
@@ -271,12 +239,7 @@ fn in_place_checkpoint_writes_an_image_only_without_dead_rows() {
     c.merge().unwrap();
     assert!(read_ckpt(dir.path()).index.is_some());
     let copy = copy_with(dir.path(), |_| {});
-    let copy_conf = cfg(
-        copy.path(),
-        hnsw(),
-        MergeMode::Incremental,
-        BuildOptions::serial(),
-    );
+    let copy_conf = cfg(copy.path(), hnsw(), MergeMode::Incremental);
     let mut r = Collection::recover(schema(), copy_conf).unwrap();
     assert!(r.stats().index_from_image);
     assert_eq!(answers(&r, &queries), answers(&c, &queries));
@@ -303,19 +266,11 @@ fn in_place_checkpoint_writes_an_image_only_without_dead_rows() {
 fn replica_install_loads_the_primary_graph() {
     let (rows, queries) = data(3506);
     let pdir = TempDir::new("img-primary").unwrap();
-    let primary = checkpointed(pdir.path(), hnsw(), BuildOptions::with_threads(2), &rows);
+    let primary = checkpointed(pdir.path(), hnsw(), &rows);
     let (lsn, snap, tail) = primary.export_replica_state().unwrap();
     let rdir = TempDir::new("img-replica").unwrap();
-    let mut replica = Collection::create(
-        schema(),
-        cfg(
-            rdir.path(),
-            hnsw(),
-            MergeMode::Blocking,
-            BuildOptions::with_threads(2),
-        ),
-    )
-    .unwrap();
+    let mut replica =
+        Collection::create(schema(), cfg(rdir.path(), hnsw(), MergeMode::Blocking)).unwrap();
     replica.install_replica_state(lsn, &snap, &tail).unwrap();
     assert!(replica.stats().index_from_image);
     assert_eq!(answers(&replica, &queries), answers(&primary, &queries));
