@@ -235,6 +235,9 @@ impl MutableIndex for NswIndex {
             .copied()
             .filter(|&v| !self.deleted[v as usize])
             .collect();
+        // `member[v] == u` marks v as already in u's patched list, so the
+        // merge stays linear in the (uncapped) degrees.
+        let mut member = vec![usize::MAX; self.vectors.len()];
         for &u in &nbrs {
             let u = u as usize;
             if self.deleted[u] {
@@ -245,8 +248,12 @@ impl MutableIndex for NswIndex {
                 continue;
             }
             let mut patched: Vec<u32> = list.into_iter().filter(|&v| v != id as u32).collect();
+            for &v in &patched {
+                member[v as usize] = u;
+            }
             for &w in &live_nbrs {
-                if w as usize != u && !patched.contains(&w) {
+                if w as usize != u && member[w as usize] != u {
+                    member[w as usize] = u;
                     patched.push(w);
                 }
             }

@@ -1,7 +1,9 @@
 //! Served answers stay bit-identical: every family's top-10 answers hash
 //! to the CRC recorded in `tests/golden/answers.txt` for the active kernel
 //! backend. Re-record with `cargo run --release --example bless_answers`
-//! (once per backend, e.g. again under `VDB_FORCE_SCALAR=1`).
+//! (once per backend, e.g. again under `VDB_FORCE_SCALAR=1`): every
+//! backend must record the same cases, so blessing only one fails here on
+//! every host.
 
 mod golden;
 
@@ -24,5 +26,25 @@ fn answers_match_the_recorded_goldens() {
     assert_eq!(cases(&recorded), cases(&actual), "{backend}: case list");
     if let Some(((case, want), (_, got))) = recorded.iter().zip(&actual).find(|(r, a)| r.1 != a.1) {
         panic!("{backend}: first differing case {case}: recorded {want:08x}, got {got:08x}");
+    }
+}
+
+#[test]
+fn every_backend_records_the_same_cases() {
+    let mut backends: Vec<(String, Vec<String>)> = Vec::new();
+    for (backend, case, _) in golden::load() {
+        match backends.iter_mut().find(|(b, _)| *b == backend) {
+            Some((_, cases)) => cases.push(case),
+            None => backends.push((backend, vec![case])),
+        }
+    }
+    let Some(((first, want), rest)) = backends.split_first() else {
+        return;
+    };
+    for (backend, cases) in rest {
+        assert_eq!(
+            cases, want,
+            "`{backend}` records other cases than `{first}`: bless every backend"
+        );
     }
 }
