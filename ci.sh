@@ -44,9 +44,11 @@ echo "== serving layer: loopback server integration =="
 # Real sockets on 127.0.0.1: N concurrent clients get correct results,
 # served hits are bit-identical to in-process search, overload past
 # max_queue is answered BUSY (not queued), the bulk lane sheds before
-# interactive search, per-collection token buckets throttle, a killed
-# shard socket degrades to a partial result within the deadline, and
-# graceful shutdown drains every in-flight request (DESIGN.md §10, §13).
+# interactive search, per-collection token buckets throttle, a
+# ClusterClient answers for a killed primary from its replica and drops
+# a shard with no live copy promptly (the killed_primary_* and
+# killed_shard_* tests), and graceful shutdown drains every in-flight
+# request (DESIGN.md §10, §13).
 # The protocol suite additionally rejects torn/oversized/CRC-flipped
 # frames at every byte offset against a live server and reaps a
 # 200-connection slow-loris trickle without blocking other clients.

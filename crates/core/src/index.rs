@@ -27,10 +27,10 @@ pub struct SearchParams {
     /// candidates before applying a predicate (§2.6(3) of the paper).
     pub overfetch: f32,
     /// Soft deadline for the whole search. In-process indexes ignore it
-    /// (their latency is bounded by structure size); transports honor it:
-    /// a distributed scatter-gather stops waiting for shards at the
-    /// deadline and returns a *partial* result, and a remote-shard client
-    /// uses it as its socket read timeout. `None` = wait indefinitely.
+    /// (their latency is bounded by structure size); the in-process
+    /// scatter-gather honors it: it stops waiting for shards at the
+    /// deadline and returns a *partial* result. `None` = wait
+    /// indefinitely.
     pub timeout: Option<std::time::Duration>,
 }
 

@@ -1,14 +1,13 @@
 //! Sharded, replicated, scatter-gather vector search (§2.3 "distributed
 //! search").
 //!
-//! Shards are in-process by default, or remote over TCP when the builder
-//! returns [`crate::RemoteShard`]s (see [`crate::remote`]). Each shard
-//! owns its own index over its slice of the collection; replicas are
-//! additional copies used for load spreading and failover; queries
-//! scatter to the routed shards on detached worker threads and gather
-//! through a global top-k merge — bounded by [`SearchParams::timeout`]
-//! when set, degrading to an explicit partial result instead of blocking
-//! on a slow or dead shard.
+//! This is the in-process scatter-gather; the networked one is
+//! `vdb-server`'s `ClusterClient`. Each shard owns its own index over
+//! its slice of the collection; replicas are additional copies used for
+//! load spreading and failover; queries scatter to the routed shards on
+//! detached worker threads and gather through a global top-k merge —
+//! bounded by [`SearchParams::timeout`] when set, degrading to an
+//! explicit partial result instead of blocking on a slow or dead shard.
 
 use crate::partition::{partition, PartitionPolicy, Partitioning};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -268,10 +267,9 @@ impl DistributedIndex {
     /// Scatter-gather search with full degradation metadata.
     ///
     /// Scatter probes run detached, one per probed shard initially; a
-    /// probe that *errors* (e.g. a [`crate::RemoteShard`] whose socket
-    /// died) fails over to the shard's next live replica, and when
-    /// [`DistributedConfig::hedge_delay`] is set a shard that has not
-    /// answered by then gets a *backup* probe on its sibling replica.
+    /// probe that *errors* fails over to the shard's next live replica,
+    /// and when [`DistributedConfig::hedge_delay`] is set a shard that has
+    /// not answered by then gets a *backup* probe on its sibling replica.
     /// The gather keeps the **first arrival per shard** — a primary
     /// replica answering late after its sibling was already hedged is
     /// dropped, never merged twice (each shard holds disjoint rows, but

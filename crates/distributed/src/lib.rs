@@ -12,15 +12,12 @@
 //!   degradation,
 //! - [`manifest`] — the versioned shard → node assignment of a
 //!   replicated deployment, persisted and served over the wire,
-//! - [`wire`] — the length-prefixed, CRC-framed binary transport shared
-//!   with `vdb-server`,
-//! - [`remote`] — socket-backed shards: [`serve_index`] serves any
-//!   index over TCP and the [`RemoteShard`] client plugs into
-//!   [`DistributedIndex`] as a replica, turning the in-process cluster
-//!   into a networked one.
+//! - [`wire`] — the length-prefixed, CRC-framed binary transport of
+//!   `vdb-server`'s protocol.
 //!
-//! Shards may be in-process (the default builders) or remote over TCP
-//! (loopback in tests); DESIGN.md §10 documents the serving stack.
+//! [`DistributedIndex`] is the in-process scatter-gather. The networked
+//! one is `vdb-server`'s `ClusterClient`, which scatters over the nodes a
+//! [`ClusterManifest`] names; DESIGN.md §10 documents the serving stack.
 
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
@@ -28,10 +25,8 @@
 pub mod cluster;
 pub mod manifest;
 pub mod partition;
-pub mod remote;
 pub mod wire;
 
 pub use cluster::{DistributedConfig, DistributedIndex, IndexBuilder, ScatterOutcome};
 pub use manifest::{ClusterManifest, ShardRoute};
 pub use partition::{partition, PartitionPolicy, Partitioning};
-pub use remote::{serve_index, RemoteShard, RemoteShardConfig, ShardHandle};

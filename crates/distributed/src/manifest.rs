@@ -85,18 +85,6 @@ impl ClusterManifest {
         &self.shards[self.shard_of(key)].primary
     }
 
-    /// Distinct primary addresses, in shard order (scatter targets for a
-    /// cluster-wide search).
-    pub fn primaries(&self) -> Vec<&str> {
-        let mut out: Vec<&str> = Vec::new();
-        for route in &self.shards {
-            if !out.contains(&route.primary.as_str()) {
-                out.push(&route.primary);
-            }
-        }
-        out
-    }
-
     /// Fail shard `shard` over to its first replica: the replica becomes
     /// primary, the old primary is dropped from the route (it is presumed
     /// dead; a recovered node re-joins by bootstrapping as a replica),
@@ -242,7 +230,6 @@ mod tests {
         assert_eq!(m.shard_of(7), 3);
         assert_eq!(m.primary_of(0), "a:1");
         assert_eq!(m.primary_of(1), "b:2");
-        assert_eq!(m.primaries(), vec!["a:1", "b:2"]);
     }
 
     #[test]

@@ -1,5 +1,5 @@
-//! Length-prefixed, CRC-framed binary transport shared by the shard
-//! transport ([`crate::remote`]) and the `vdb-server` wire protocol.
+//! Length-prefixed, CRC-framed binary transport of the `vdb-server`
+//! wire protocol, also the encoding of the [`crate::manifest`].
 //!
 //! A frame on the wire is:
 //!
@@ -16,7 +16,8 @@
 //! silently.
 //!
 //! The module also hosts the bounded little-endian [`Reader`] and the
-//! `put_*` encoding helpers the two protocols build their messages from.
+//! `put_*` encoding helpers the protocol and the manifest build their
+//! messages from.
 
 use std::io::{ErrorKind, Read, Write};
 use vdb_core::error::{Error, Result};
@@ -89,80 +90,6 @@ pub fn read_frame(r: &mut impl Read, max_len: u32) -> Result<Option<Vec<u8>>> {
         return Err(Error::Corrupt("frame CRC mismatch".into()));
     }
     Ok(Some(payload))
-}
-
-/// What a serving loop observed while waiting for the next frame.
-#[derive(Debug)]
-pub enum ServerRead {
-    /// A complete frame arrived.
-    Frame(Vec<u8>),
-    /// The peer closed the connection cleanly.
-    Closed,
-    /// Nothing arrived within the idle tick — re-check shutdown flags and
-    /// call again.
-    Idle,
-}
-
-/// Server-side frame read with two deadlines: an `idle` tick (so the
-/// serving thread can observe a shutdown flag between requests without
-/// ever tearing a frame) and a `frame_timeout` that bounds how long a
-/// peer may dribble one frame once its first byte has arrived. The idle
-/// wait uses `peek`, so a timeout there consumes nothing. The frame
-/// timeout is a *whole-frame* budget — [`DeadlineReader`] re-arms the
-/// socket timeout with the remaining budget before every read, so a
-/// peer trickling one byte per timeout (slow loris) still gets cut off
-/// at `frame_timeout` total.
-pub fn read_server_frame(
-    stream: &mut std::net::TcpStream,
-    idle: std::time::Duration,
-    frame_timeout: std::time::Duration,
-    max_len: u32,
-) -> Result<ServerRead> {
-    stream.set_read_timeout(Some(idle))?;
-    let mut probe = [0u8; 1];
-    match stream.peek(&mut probe) {
-        Ok(0) => return Ok(ServerRead::Closed),
-        Ok(_) => {}
-        Err(e)
-            if e.kind() == ErrorKind::WouldBlock
-                || e.kind() == ErrorKind::TimedOut
-                || e.kind() == ErrorKind::Interrupted =>
-        {
-            return Ok(ServerRead::Idle)
-        }
-        Err(e) => return Err(e.into()),
-    }
-    let mut reader = DeadlineReader {
-        stream,
-        deadline: std::time::Instant::now() + frame_timeout,
-    };
-    Ok(match read_frame(&mut reader, max_len)? {
-        Some(payload) => ServerRead::Frame(payload),
-        None => ServerRead::Closed,
-    })
-}
-
-/// Enforces an absolute deadline across a multi-read operation by
-/// shrinking the socket read timeout to the remaining budget before
-/// each read. A plain `set_read_timeout` is per-`read` — each arriving
-/// byte resets it, which is exactly the hole slow-loris clients exploit.
-struct DeadlineReader<'a> {
-    stream: &'a std::net::TcpStream,
-    deadline: std::time::Instant,
-}
-
-impl Read for DeadlineReader<'_> {
-    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-        let remaining = self
-            .deadline
-            .checked_duration_since(std::time::Instant::now())
-            .filter(|r| !r.is_zero())
-            .ok_or_else(|| std::io::Error::new(ErrorKind::TimedOut, "frame deadline exceeded"))?;
-        self.stream
-            .set_read_timeout(Some(remaining.max(std::time::Duration::from_millis(1))))?;
-        let mut s = self.stream;
-        s.read(buf)
-    }
 }
 
 /// Append a `u8`.

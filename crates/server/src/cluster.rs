@@ -21,10 +21,11 @@
 //! idempotence contract `Client::call` refuses to assume on behalf of
 //! arbitrary callers.
 //!
-//! Searches scatter to every shard primary and merge the per-shard
-//! top-k by distance; an unreachable shard degrades the result instead
-//! of failing the query (mirroring `vdb_distributed`'s partial-gather
-//! semantics).
+//! Searches scatter to every shard and merge the per-shard top-k by
+//! distance. A shard whose primary is unreachable is asked at its
+//! replicas in manifest order, and a shard lost on every copy degrades
+//! the result instead of failing the query (mirroring
+//! `vdb_distributed`'s failover and partial-gather semantics).
 
 use crate::client::{Client, ClientConfig};
 use crate::protocol::{ErrorCode, Request, Response};
@@ -239,41 +240,13 @@ impl ClusterClient {
         Err(last)
     }
 
-    /// Scatter a search to every shard primary, merge per-shard top-k by
-    /// distance. Unreachable shards degrade the result; only a cluster
-    /// with zero reachable shards errors.
+    /// Scatter a search over the shards, merge per-shard top-k by
+    /// distance. Shards lost on every copy degrade the result; only a
+    /// cluster with zero reachable shards errors.
     pub fn search(&self, query: &[f32], k: usize, params: &SearchParams) -> Result<Vec<SearchHit>> {
-        let primaries: Vec<String> = {
-            let m = self.manifest.lock();
-            m.primaries().into_iter().map(String::from).collect()
-        };
         let collection = &self.collection;
-        let mut merged: Vec<SearchHit> = Vec::new();
-        let mut reachable = 0usize;
-        let lists: Vec<Option<Vec<SearchHit>>> = std::thread::scope(|s| {
-            let handles: Vec<_> = primaries
-                .iter()
-                .map(|addr| {
-                    s.spawn(move || {
-                        let client = self.client_for(addr).ok()?;
-                        client.search(collection, query, k, params).ok()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or(None))
-                .collect()
-        });
-        for hits in lists.into_iter().flatten() {
-            reachable += 1;
-            merged.extend(hits);
-        }
-        if reachable == 0 {
-            return Err(Error::Io(std::io::Error::other(
-                "no shard primary reachable",
-            )));
-        }
+        let lists = self.scatter(|client| client.search(collection, query, k, params))?;
+        let mut merged: Vec<SearchHit> = lists.into_iter().flatten().collect();
         merged.sort_by(|a, b| {
             a.dist
                 .partial_cmp(&b.dist)
@@ -284,8 +257,8 @@ impl ClusterClient {
         Ok(merged)
     }
 
-    /// Scatter a hybrid text + vector search to every shard primary and
-    /// merge rank-aware: shard BM25 scores are computed under *local*
+    /// Scatter a hybrid text + vector search over the shards and merge
+    /// rank-aware: shard BM25 scores are computed under *local*
     /// statistics, so the coordinator re-scores every candidate from its
     /// shipped integer evidence (`doc_len`, per-term `tfs`) under the
     /// element-wise sum of the shard statistics — shards hold disjoint
@@ -295,7 +268,7 @@ impl ClusterClient {
     /// a single node holding the whole corpus would return (given the
     /// per-shard `k` covers the global top-k candidates).
     ///
-    /// Unreachable shards degrade the result like [`ClusterClient::search`].
+    /// Shards fail over and degrade like [`ClusterClient::search`].
     /// The reported strategy is the caller's forced choice, or the first
     /// reachable shard's planner decision under "auto" (shards may
     /// legitimately differ when their local selectivities do).
@@ -308,42 +281,17 @@ impl ClusterClient {
         strategy: Option<HybridStrategy>,
         params: &SearchParams,
     ) -> Result<HybridResult> {
-        let primaries: Vec<String> = {
-            let m = self.manifest.lock();
-            m.primaries().into_iter().map(String::from).collect()
-        };
         let collection = &self.collection;
-        let results: Vec<Option<HybridResult>> = std::thread::scope(|s| {
-            let handles: Vec<_> = primaries
-                .iter()
-                .map(|addr| {
-                    s.spawn(move || {
-                        let client = self.client_for(addr).ok()?;
-                        client
-                            .hybrid_search(collection, query, text, k, fusion, strategy, params)
-                            .ok()
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().unwrap_or(None))
-                .collect()
-        });
+        let results = self.scatter(|client| {
+            client.hybrid_search(collection, query, text, k, fusion, strategy, params)
+        })?;
         let mut stats = CorpusStats::default();
         let mut pool = Vec::new();
         let mut executed: Option<HybridStrategy> = None;
-        let mut reachable = 0usize;
-        for shard in results.into_iter().flatten() {
-            reachable += 1;
+        for shard in results {
             stats.add(&shard.stats);
             executed.get_or_insert(shard.strategy);
             pool.extend(shard.hits.into_iter().zip(shard.details));
-        }
-        if reachable == 0 {
-            return Err(Error::Io(std::io::Error::other(
-                "no shard primary reachable",
-            )));
         }
         // Every analyzer in the system runs the default stopword list, so
         // the client derives the same query terms — in the same order —
@@ -373,5 +321,42 @@ impl ClusterClient {
             stats,
             strategy: strategy.or(executed).unwrap_or(HybridStrategy::VectorFirst),
         })
+    }
+
+    /// Run `call` once per shard and return the answers. A shard is asked
+    /// at its primary, then at its replicas in manifest order, and is lost
+    /// only when every copy fails. A node answers for every shard it holds,
+    /// so shards that share a primary (and so its replicas) are asked
+    /// once. Errs only when every shard is lost.
+    fn scatter<T: Send>(&self, call: impl Fn(&Client) -> Result<T> + Sync) -> Result<Vec<T>> {
+        let mut copies: Vec<Vec<String>> = Vec::new();
+        for route in &self.manifest.lock().shards {
+            if !copies.iter().any(|c| c[0] == route.primary) {
+                let all = std::iter::once(&route.primary).chain(&route.replicas);
+                copies.push(all.cloned().collect());
+            }
+        }
+        let call = &call;
+        let answers: Vec<Option<T>> = std::thread::scope(|s| {
+            let handles: Vec<_> = copies
+                .iter()
+                .map(|addrs| {
+                    s.spawn(move || {
+                        addrs
+                            .iter()
+                            .find_map(|addr| call(&*self.client_for(addr).ok()?).ok())
+                    })
+                })
+                .collect();
+            handles
+                .into_iter()
+                .map(|h| h.join().unwrap_or(None))
+                .collect()
+        });
+        let answers: Vec<T> = answers.into_iter().flatten().collect();
+        if answers.is_empty() {
+            return Err(Error::Io(std::io::Error::other("no shard reachable")));
+        }
+        Ok(answers)
     }
 }

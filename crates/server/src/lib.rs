@@ -32,7 +32,8 @@
 //! - [`cluster`] — the manifest-routed [`ClusterClient`]: writes go to
 //!   the key's shard primary, `Redirect` responses are followed, and a
 //!   failover (promoted manifest) is picked up by refreshing from any
-//!   reachable node; searches scatter to all shard primaries and merge.
+//!   reachable node; searches scatter to every shard, falling back from a
+//!   dead primary to its replicas, and merge.
 //!
 //! ```no_run
 //! use vdb_server::{serve, Client, ServerConfig};

@@ -1,16 +1,18 @@
 //! End-to-end serving acceptance: concurrent clients over loopback TCP,
 //! admission control under overload, coalesced batching, graceful
-//! drain-then-stop shutdown, and socket-backed distributed shards
-//! degrading to partial results when a shard dies.
+//! drain-then-stop shutdown, and a manifest-routed cluster failing over
+//! to a replica, or degrading to the surviving shards, when a node dies.
 
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use vdb::{CollectionSchema, IndexSpec, SearchHit, SystemProfile, Vdbms, VqlOutput};
-use vdb_core::{dataset, FlatIndex, Metric, Rng, SearchParams, VectorIndex, Vectors};
-use vdb_distributed::{
-    serve_index, DistributedConfig, DistributedIndex, RemoteShard, RemoteShardConfig, ShardHandle,
+use vdb::{
+    CollectionSchema, Fusion, HybridStrategy, IndexSpec, SearchHit, SystemProfile, Vdbms, VqlOutput,
 };
-use vdb_server::{serve, Client, ErrorCode, RateLimit, Request, Response, ServerConfig};
+use vdb_core::{Metric, SearchParams};
+use vdb_distributed::ClusterManifest;
+use vdb_server::{
+    serve, Client, ClusterClient, ErrorCode, RateLimit, Request, Response, ServerConfig,
+};
 
 fn fixture_db(n: usize, dim: usize) -> Vdbms {
     let mut db = Vdbms::new(SystemProfile::MostlyVector);
@@ -423,58 +425,102 @@ fn metrics_snapshot_reports_latency_qps_and_gauges() {
     handle.shutdown();
 }
 
-/// Socket-backed scatter-gather: killing one shard's server yields a
-/// partial result within the query deadline instead of an error or a
-/// hang.
-#[test]
-fn killed_remote_shard_degrades_to_partial_within_deadline() {
-    let mut rng = Rng::seed_from_u64(991);
-    let data = dataset::gaussian(600, 8, &mut rng);
-    let handles: Arc<vdb_core::sync::Mutex<Vec<ShardHandle>>> =
-        Arc::new(vdb_core::sync::Mutex::new(Vec::new()));
-    let handles_in_builder = handles.clone();
-    let builder = move |v: Vectors, m: Metric| -> vdb_core::Result<Box<dyn VectorIndex>> {
-        let local: Arc<dyn VectorIndex> = Arc::new(FlatIndex::build(v, m)?);
-        let server = serve_index(local, "127.0.0.1:0")?;
-        let remote = RemoteShard::connect(server.addr(), RemoteShardConfig::default())?;
-        handles_in_builder.lock().push(server);
-        Ok(Box::new(remote))
+/// A three-shard cluster over 60 rows, key `i` on shard `i % 3` at
+/// `[i, 0, 0, 1]` with a short text body. Shard 0 has one replica, a
+/// node holding a copy of its rows; shards 1 and 2 have none. Returns
+/// the servers (primaries of shards 0, 1, 2, then the replica) and a
+/// client bootstrapped from shard 1's primary.
+fn replicated_cluster() -> (Vec<vdb_server::ServerHandle>, ClusterClient) {
+    use vdb_core::attr::{AttrType, AttrValue};
+    let words = [
+        "vector index",
+        "text ranking",
+        "fusion notes",
+        "index recall",
+    ];
+    let node = |shard: u64| {
+        let mut db = Vdbms::new(SystemProfile::MostlyMixed);
+        db.create_collection(
+            CollectionSchema::new("docs", 4, Metric::Euclidean)
+                .column("body", AttrType::Str)
+                .text_index("body"),
+            IndexSpec::Flat,
+        )
+        .unwrap();
+        let c = db.collection_mut("docs").unwrap();
+        for i in (shard..60).step_by(3) {
+            let body = AttrValue::Str(words[i as usize % 4].to_string());
+            c.insert(i, &[i as f32, 0.0, 0.0, 1.0], &[("body", body)])
+                .unwrap();
+        }
+        serve(db, "127.0.0.1:0", ServerConfig::default()).unwrap()
     };
-    let dist = DistributedIndex::build(
-        &data,
-        Metric::Euclidean,
-        DistributedConfig::uniform(3),
-        &builder,
-    )
-    .unwrap();
-    let params = SearchParams::default().with_timeout(Duration::from_millis(700));
-    let q = vec![0.0; 8];
+    let servers = vec![node(0), node(1), node(2), node(0)];
+    let addrs: Vec<String> = servers.iter().map(|s| s.addr().to_string()).collect();
+    let mut manifest = ClusterManifest::new("docs", 3, &addrs[..3]).unwrap();
+    manifest.shards[0].replicas.push(addrs[3].clone());
+    for (server, addr) in servers.iter().zip(&addrs) {
+        server.set_cluster(addr.clone(), manifest.clone());
+    }
+    let client = ClusterClient::connect(&addrs[1], "docs").unwrap();
+    (servers, client)
+}
 
-    let full = dist.search_outcome(&q, 10, &params).unwrap();
-    assert!(!full.partial, "all shards up: result must be complete");
-    assert_eq!(full.hits.len(), 10);
+fn keys(hits: &[SearchHit]) -> Vec<u64> {
+    hits.iter().map(|h| h.key).collect()
+}
 
-    // Kill one shard's server socket, then search again under deadline.
-    let killed = handles.lock().remove(0);
-    killed.shutdown();
+/// A shard whose primary died is answered by its replica: plain and
+/// hybrid searches return exactly the answers they gave before the kill.
+#[test]
+fn killed_primary_fails_over_to_its_replica() {
+    let (mut servers, cluster) = replicated_cluster();
+    let params = SearchParams::default();
+    let q = [0.0, 0.0, 0.0, 1.0];
+    let fusion = Fusion::Rrf { k0: 60 };
+    let hybrid = |c: &ClusterClient| {
+        c.hybrid_search(
+            &q,
+            "index recall",
+            6,
+            fusion,
+            Some(HybridStrategy::Fused),
+            &params,
+        )
+        .unwrap()
+    };
+    let before = cluster.search(&q, 6, &params).unwrap();
+    assert_eq!(keys(&before), vec![0, 1, 2, 3, 4, 5]);
+    let hybrid_before = hybrid(&cluster);
+
+    servers.remove(0).shutdown();
+    assert_eq!(cluster.search(&q, 6, &params).unwrap(), before);
+    let hybrid_after = hybrid(&cluster);
+    assert_eq!(hybrid_after.hits, hybrid_before.hits);
+    assert_eq!(hybrid_after.stats, hybrid_before.stats);
+    for server in servers {
+        server.shutdown();
+    }
+}
+
+/// A shard with no live copy is dropped from the answer: the surviving
+/// shards still answer, promptly rather than at some deadline.
+#[test]
+fn killed_shard_without_replica_degrades_to_the_surviving_shards() {
+    let (mut servers, cluster) = replicated_cluster();
+    let params = SearchParams::default();
+    let q = [0.0, 0.0, 0.0, 1.0];
+    servers.remove(2).shutdown();
     let start = Instant::now();
-    let degraded = dist.search_outcome(&q, 10, &params).unwrap();
+    let hits = cluster.search(&q, 6, &params).unwrap();
     let elapsed = start.elapsed();
+    assert_eq!(keys(&hits), vec![0, 1, 3, 4, 6, 7]);
     assert!(
-        degraded.partial,
-        "a dead shard must mark the result partial"
+        elapsed < Duration::from_millis(500),
+        "surviving shards must answer well inside a second, took {elapsed:?}"
     );
-    assert_eq!(degraded.failed_shards.len(), 1);
-    assert!(
-        !degraded.hits.is_empty(),
-        "surviving shards must still contribute"
-    );
-    assert!(
-        elapsed < Duration::from_secs(3),
-        "partial result must arrive near the deadline, took {elapsed:?}"
-    );
-    for h in handles.lock().drain(..) {
-        h.shutdown();
+    for server in servers {
+        server.shutdown();
     }
 }
 

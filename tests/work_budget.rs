@@ -1,0 +1,167 @@
+//! Work budgets: the exact number of heap allocations, and the bytes they
+//! request, that 100 warm searches cost per index family and on the
+//! served collection path. Counts are integers, identical on every run and
+//! host, so the budgets are equalities rather than timing bounds.
+//!
+//! A counting `#[global_allocator]` counts only on the thread that is
+//! measuring (a `const`-initialised thread-local flag), so other tests
+//! running in parallel in this binary never leak into a count. An
+//! intended change updates `BUDGETS` from the table a failure prints.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use vdb::{CollectionSchema, IndexSpec, SystemProfile, Vdbms};
+use vdb_core::context::SearchContext;
+use vdb_core::{dataset, Metric, Rng, SearchParams, Vectors};
+
+struct Counting;
+
+thread_local! {
+    static MEASURING: Cell<bool> = const { Cell::new(false) };
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    static BYTES: Cell<u64> = const { Cell::new(0) };
+}
+
+/// Count one allocation of `size` bytes if this thread is measuring.
+fn note(size: usize) {
+    if MEASURING.try_with(Cell::get).unwrap_or(false) {
+        ALLOCS.with(|a| a.set(a.get() + 1));
+        BYTES.with(|b| b.set(b.get() + size as u64));
+    }
+}
+
+// SAFETY: every call is forwarded unchanged to the system allocator; the
+// bookkeeping touches only `const`-initialised thread-local cells, which
+// never allocate.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        note(layout.size());
+        unsafe { System.alloc_zeroed(layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        note(new_size);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// `(allocations, bytes)` that `f` requests on this thread.
+fn measure(f: impl FnOnce()) -> (u64, u64) {
+    ALLOCS.with(|a| a.set(0));
+    BYTES.with(|b| b.set(0));
+    MEASURING.with(|m| m.set(true));
+    f();
+    MEASURING.with(|m| m.set(false));
+    (ALLOCS.with(Cell::get), BYTES.with(Cell::get))
+}
+
+const K: usize = 10;
+
+/// Allocations and bytes of 100 warm top-10 searches, per row.
+const BUDGETS: &[(&str, u64, u64)] = &[
+    ("flat", 100, 16000),
+    ("lsh", 100, 16000),
+    ("ivf_flat", 100, 16000),
+    ("ivf_sq", 200, 220800),
+    ("ivf_pq", 200, 220800),
+    ("kd_tree", 100, 16000),
+    ("pca_tree", 100, 16000),
+    ("rp_forest", 100, 16000),
+    ("annoy", 100, 16000),
+    ("flann", 100, 16000),
+    ("knng", 100, 16000),
+    ("nsw", 100, 16000),
+    ("hnsw", 100, 16000),
+    ("nsg", 100, 16000),
+    ("vamana", 100, 16000),
+    ("diskann", 11504, 23640256),
+    ("spann", 5972, 12135808),
+    ("collection/hnsw", 600, 123200),
+];
+
+fn fixture() -> (Vectors, Vectors) {
+    let mut rng = Rng::seed_from_u64(1100);
+    let data = dataset::clustered(2000, 32, 12, 0.5, &mut rng).vectors;
+    let queries = dataset::split_queries(&data, 100, 0.05, &mut rng);
+    (data, queries)
+}
+
+/// 100 `search_with` calls on one context, after one warm-up pass.
+fn index_row(name: &str, data: &Vectors, queries: &Vectors) -> (u64, u64) {
+    let index = IndexSpec::parse(name)
+        .unwrap()
+        .build(data.clone(), Metric::Euclidean)
+        .unwrap();
+    let params = SearchParams::default();
+    let mut ctx = SearchContext::new();
+    let pass = |ctx: &mut SearchContext| {
+        for q in queries.iter() {
+            std::hint::black_box(index.search_with(ctx, q, K, &params).unwrap());
+        }
+    };
+    pass(&mut ctx);
+    measure(|| pass(&mut ctx))
+}
+
+/// 100 `Collection::search` calls on a merged, non-durable HNSW
+/// collection, after one warm-up pass.
+fn collection_row(data: &Vectors, queries: &Vectors) -> (u64, u64) {
+    let mut db = Vdbms::new(SystemProfile::MostlyVector);
+    db.create_collection(
+        CollectionSchema::new("docs", data.dim(), Metric::Euclidean),
+        IndexSpec::parse("hnsw").unwrap(),
+    )
+    .unwrap();
+    let c = db.collection_mut("docs").unwrap();
+    for (key, v) in data.iter().enumerate() {
+        c.insert(key as u64, v, &[]).unwrap();
+    }
+    c.merge().unwrap();
+    let params = SearchParams::default();
+    let pass = || {
+        for q in queries.iter() {
+            std::hint::black_box(c.search(q, K, &params).unwrap());
+        }
+    };
+    pass();
+    measure(pass)
+}
+
+#[test]
+fn warm_searches_allocate_exactly_their_budget() {
+    let (data, queries) = fixture();
+    let mut measured: Vec<(String, u64, u64)> = IndexSpec::all_defaults()
+        .iter()
+        .map(IndexSpec::name)
+        .chain(["diskann", "spann"])
+        .map(|name| {
+            let (allocs, bytes) = index_row(name, &data, &queries);
+            (name.to_string(), allocs, bytes)
+        })
+        .collect();
+    let (allocs, bytes) = collection_row(&data, &queries);
+    measured.push(("collection/hnsw".to_string(), allocs, bytes));
+    let expected: Vec<(String, u64, u64)> = BUDGETS
+        .iter()
+        .map(|&(name, allocs, bytes)| (name.to_string(), allocs, bytes))
+        .collect();
+    if measured != expected {
+        let table: String = measured
+            .iter()
+            .map(|(name, allocs, bytes)| format!("    ({name:?}, {allocs}, {bytes}),\n"))
+            .collect();
+        panic!("work budgets moved; the measured table is\n{table}");
+    }
+}
