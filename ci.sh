@@ -76,6 +76,8 @@ VDB_FORCE_SCALAR=1 cargo test -q --release -p vdb-core --test kernel_equivalence
 VDB_FORCE_SCALAR=1 cargo test -q --release -p vdb-index-table
 # Every family's answers match the goldens recorded for the scalar backend.
 VDB_FORCE_SCALAR=1 cargo test -q --release --test answer_goldens
+# The batched graph builders are thread-count invariant on the fallback too.
+VDB_FORCE_SCALAR=1 cargo test -q --release --test parallel_build
 
 echo "== disk pipeline: equivalence under every lever combination =="
 # The disk-serving pipeline (DESIGN.md §12) must be invisible to search

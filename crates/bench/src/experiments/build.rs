@@ -12,9 +12,12 @@ use vdb_core::parallel::BuildOptions;
 use vdb_core::Result;
 
 /// The families whose builds fan out at this scale: IVF assignment and
-/// encoding, one tree per job, NSG's per-node edge selection. The
-/// graph-insert families and NN-Descent build on one thread.
-const FAMILIES: [&str; 5] = ["ivf_flat", "ivf_sq", "ivf_pq", "annoy", "nsg"];
+/// encoding, one tree per job, NSG's per-node edge selection, and the
+/// batch-synchronous HNSW and Vamana inserts (DiskANN builds a Vamana
+/// graph plus navigation codes). NSW and NN-Descent build on one thread.
+const FAMILIES: [&str; 8] = [
+    "ivf_flat", "ivf_sq", "ivf_pq", "annoy", "nsg", "hnsw", "vamana", "diskann",
+];
 
 /// B1: build seconds and recall@10 per family at 1, 2, and N threads,
 /// where N is the host's available parallelism, floored at 4 so the
@@ -84,7 +87,8 @@ pub fn b1_parallel_build(scale: Scale) -> Result<()> {
     println!(
         "  Expected shape: near-linear scaling for the embarrassingly parallel\n  \
          families (IVF assignment/encoding, one-tree-per-thread forests) and\n  \
-         sub-linear for NSG (its KNNG bootstrap and spanning pass are serial);\n  \
+         sub-linear for NSG (its KNNG bootstrap and spanning pass are serial)\n  \
+         and for HNSW/Vamana/DiskANN (each batch links its rows serially);\n  \
          recall@10 identical to the serial build everywhere (asserted)."
     );
     Ok(())

@@ -14,9 +14,10 @@
 //!
 //! The contract: the thread count changes how long a build takes, never
 //! the index it builds. Every builder keeps one body and fans out only
-//! work that is a pure map per item (row, tree, PQ subspace or shard)
-//! whose results are consumed in item order, so a build at any thread
-//! count is bit-identical to the serial one.
+//! work that is a pure map per item (row, tree, PQ subspace, shard, or
+//! a row of one insertion batch of a graph build) whose results are
+//! consumed in item order, so a build at any thread count is
+//! bit-identical to the serial one.
 
 use std::ops::Range;
 

@@ -1,5 +1,5 @@
 //! Shared graph machinery: adjacency storage, best-first (beam) search,
-//! robust pruning, and medoid selection.
+//! robust pruning, medoid selection, and batch-synchronous insertion.
 //!
 //! Every graph index in this crate (§2.2 "graph-based indexes") is an
 //! overlay graph searched with the same best-first procedure; they differ
@@ -7,9 +7,11 @@
 //! paper's **visit-first scan** (§2.3(2)): traversal may pass through
 //! predicate-failing nodes, but only passing nodes enter the result set.
 
-use vdb_core::context::SearchContext;
+use std::ops::Range;
+use vdb_core::context::{self, SearchContext};
 use vdb_core::index::RowFilter;
 use vdb_core::metric::Metric;
+use vdb_core::parallel::parallel_map_chunks;
 use vdb_core::topk::Neighbor;
 use vdb_core::vector::Vectors;
 
@@ -86,6 +88,15 @@ impl AdjacencyList {
     /// Build from raw per-node lists.
     pub fn from_lists(lists: Vec<Vec<u32>>) -> Self {
         AdjacencyList { lists }
+    }
+
+    /// Copy every list into an exact-size allocation, in node order, on
+    /// the calling thread, so the layout of a graph built by workers does
+    /// not depend on which worker allocated which list.
+    pub fn compact(&mut self) {
+        for list in &mut self.lists {
+            *list = list.as_slice().to_vec();
+        }
     }
 
     /// Number of nodes reachable from `start` (connectivity diagnostics).
@@ -361,6 +372,117 @@ pub fn robust_prune(
     kept
 }
 
+/// Re-prune every list of `nodes` longer than `cap` back to at most `cap`
+/// edges with [`robust_prune`] at `alpha`, fanning the lists out through
+/// [`parallel_map_chunks`]. Each new list reads only the lists as they
+/// stood before the call, so the result is the same at any thread count.
+pub fn prune_overfull(
+    adj: &mut AdjacencyList,
+    vectors: &Vectors,
+    metric: &Metric,
+    nodes: &[usize],
+    alpha: f32,
+    cap: usize,
+    threads: usize,
+) {
+    let over: Vec<usize> = nodes
+        .iter()
+        .copied()
+        .filter(|&u| adj.neighbors(u).len() > cap)
+        .collect();
+    let graph = &*adj;
+    let pruned = parallel_map_chunks(over.len(), threads, |_, range| {
+        range
+            .map(|i| {
+                let u = over[i];
+                let cands = graph
+                    .neighbors(u)
+                    .iter()
+                    .map(|&v| {
+                        let d = metric.distance(vectors.get(u), vectors.get(v as usize));
+                        Neighbor::new(v as usize, d)
+                    })
+                    .collect();
+                robust_prune(vectors, metric, u, cands, alpha, cap)
+            })
+            .collect::<Vec<_>>()
+    });
+    for (u, list) in over.into_iter().zip(pruned.into_iter().flatten()) {
+        adj.set_neighbors(u, list);
+    }
+}
+
+/// The batches a batch-synchronous build inserts `n` rows in: prefix
+/// doubling (1, 1, 2, 4, …), each batch as large as the prefix it joins,
+/// capped at `max(1, n / 50)` rows. The schedule depends on `n` alone.
+pub fn batch_schedule(n: usize) -> Vec<Range<usize>> {
+    let cap = (n / 50).max(1);
+    let mut batches = Vec::new();
+    let mut start = 0;
+    while start < n {
+        let end = n.min(start + start.clamp(1, cap));
+        batches.push(start..end);
+        start = end;
+    }
+    batches
+}
+
+/// Link one batch of `rows` into a graph of one or more `layers`,
+/// batch-synchronously (in the style of ParlayANN, Manohar et al.,
+/// PPoPP 2024).
+///
+/// `link(layers, row, ctx)` returns `row`'s pruned out-list on each layer
+/// it joins, indexed by layer. Every row of the batch computes it through
+/// [`parallel_map_chunks`], against the graph as it stood at the batch
+/// start. Then, layer by layer and in row order, the out-lists replace
+/// the rows' lists and the reverse edges are added, and every list a
+/// reverse edge took over `cap(layer)` is re-pruned at `alpha`
+/// ([`prune_overfull`]). No step depends on `threads`, so the graph is
+/// the same at any thread count; a batch of one row is a plain
+/// sequential insert.
+#[allow(clippy::too_many_arguments)]
+pub fn insert_batch<F>(
+    layers: &mut [AdjacencyList],
+    vectors: &Vectors,
+    metric: &Metric,
+    rows: &[usize],
+    alpha: f32,
+    cap: impl Fn(usize) -> usize,
+    threads: usize,
+    link: F,
+) where
+    F: Fn(&[AdjacencyList], usize, &mut SearchContext) -> Vec<Vec<u32>> + Sync,
+{
+    let graph = &*layers;
+    let outs: Vec<Vec<Vec<u32>>> = parallel_map_chunks(rows.len(), threads, |_, range| {
+        context::with_local(|ctx| range.map(|i| link(graph, rows[i], ctx)).collect::<Vec<_>>())
+    })
+    .into_iter()
+    .flatten()
+    .collect();
+    for (l, adj) in layers.iter_mut().enumerate() {
+        let joined = || {
+            rows.iter()
+                .zip(&outs)
+                .filter_map(|(&u, out)| Some((u, out.get(l)?)))
+        };
+        for (u, out) in joined() {
+            adj.set_neighbors(u, out.clone());
+        }
+        let mut grown = Vec::new();
+        for (u, out) in joined() {
+            for &v in out {
+                if adj.add_edge(v as usize, u as u32) {
+                    grown.push(v as usize);
+                }
+            }
+        }
+        grown.sort_unstable();
+        grown.dedup();
+        prune_overfull(adj, vectors, metric, &grown, alpha, cap(l), threads);
+    }
+}
+
 /// Index of the medoid: the point minimizing distance to the collection
 /// centroid (the "navigating node" of NSG/Vamana). Computed against the
 /// centroid rather than all-pairs for O(n·d) cost.
@@ -543,6 +665,79 @@ mod tests {
         let kept = robust_prune(&v, &m, 0, cands, 1.2, 5);
         assert!(kept.len() <= 5);
         assert!(!kept.contains(&0), "no self-edge");
+    }
+
+    #[test]
+    fn batch_schedule_covers_every_row_once_in_order() {
+        for n in [0, 1, 2, 3, 7, 49, 50, 51, 100, 999, 2000, 20_000] {
+            let rows: Vec<usize> = batch_schedule(n).into_iter().flatten().collect();
+            assert_eq!(rows, (0..n).collect::<Vec<_>>(), "n={n}");
+        }
+    }
+
+    #[test]
+    fn batch_sizes_double_up_to_the_cap() {
+        for n in [1, 2, 10, 50, 333, 2000, 20_000] {
+            let cap = (n / 50).max(1);
+            let sizes: Vec<usize> = batch_schedule(n).iter().map(Range::len).collect();
+            assert!(sizes.iter().all(|&s| (1..=cap).contains(&s)), "n={n}");
+            // Each batch is as large as the prefix before it, up to the cap;
+            // only the last may be cut short by the row count.
+            let mut start = 0;
+            for (i, &size) in sizes.iter().enumerate() {
+                let want = start.clamp(1, cap);
+                if i + 1 < sizes.len() {
+                    assert_eq!(size, want, "n={n} batch {i}");
+                } else {
+                    assert_eq!(size, want.min(n - start), "n={n} last batch");
+                }
+                start += size;
+            }
+        }
+        let first: Vec<usize> = batch_schedule(2000)
+            .iter()
+            .take(7)
+            .map(Range::len)
+            .collect();
+        assert_eq!(first, vec![1, 1, 2, 4, 8, 16, 32]);
+        assert!(batch_schedule(2000).iter().all(|b| b.len() <= 40));
+    }
+
+    #[test]
+    fn batch_insert_graph_ignores_the_thread_count() {
+        // The schedule takes no thread count; the linked graph must not
+        // depend on one either.
+        let mut rng = Rng::seed_from_u64(3);
+        let v = dataset::gaussian(600, 8, &mut rng);
+        let m = Metric::Euclidean;
+        let build = |threads: usize| {
+            let mut layers = vec![AdjacencyList::new(v.len())];
+            for batch in batch_schedule(v.len()) {
+                let rows: Vec<usize> = batch.clone().collect();
+                let search = |g: &[AdjacencyList], row: usize, ctx: &mut SearchContext| {
+                    if batch.start == 0 {
+                        return vec![Vec::new()];
+                    }
+                    let found = beam_search(&g[0], &v, &m, v.get(row), &[0], 16, 16, ctx, None);
+                    vec![robust_prune(&v, &m, row, found, 1.0, 8)]
+                };
+                insert_batch(&mut layers, &v, &m, &rows, 1.0, |_| 16, threads, search);
+            }
+            layers.remove(0)
+        };
+        let serial = build(1);
+        assert!(serial.mean_degree() > 4.0, "rows were linked");
+        for threads in [2, 3, 4] {
+            let par = build(threads);
+            for u in 0..v.len() {
+                assert_eq!(
+                    par.neighbors(u),
+                    serial.neighbors(u),
+                    "threads={threads} node {u}"
+                );
+            }
+        }
+        assert!((0..v.len()).all(|u| serial.neighbors(u).len() <= 16));
     }
 
     #[test]

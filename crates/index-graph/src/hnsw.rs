@@ -5,15 +5,22 @@
 //! as an express network. A query greedily descends from the top layer to
 //! layer 1, then runs a beam search on the dense bottom layer. Neighbor
 //! sets are chosen with the robust-prune heuristic (α = 1) to avoid the
-//! degree explosion of a flat NSW.
+//! degree explosion of a flat NSW. Rows join in the batches of
+//! [`batch_schedule`] through [`insert_batch`], layer by layer; a single
+//! online insert is a batch of one.
 
-use crate::graph::{beam_search, beam_search_filtered, robust_prune, AdjacencyList};
-use vdb_core::context::{self, SearchContext};
+use crate::graph::{
+    batch_schedule, beam_search, beam_search_filtered, insert_batch, prune_overfull, robust_prune,
+    AdjacencyList,
+};
+use std::ops::Range;
+use vdb_core::context::SearchContext;
 use vdb_core::error::{Error, Result};
 use vdb_core::index::{
     check_query, IndexStats, MutableIndex, RowFilter, SearchParams, VectorIndex,
 };
 use vdb_core::metric::Metric;
+use vdb_core::parallel::BuildOptions;
 use vdb_core::rng::Rng;
 use vdb_core::topk::Neighbor;
 use vdb_core::vector::Vectors;
@@ -119,11 +126,31 @@ impl HnswIndex {
         })
     }
 
-    /// Build by inserting every vector.
+    /// Build on one thread.
     pub fn build(vectors: Vectors, metric: Metric, cfg: HnswConfig) -> Result<Self> {
+        Self::build_with(vectors, metric, cfg, &BuildOptions::serial())
+    }
+
+    /// Build by inserting every row in the batches of [`batch_schedule`],
+    /// each searched by `opts.threads` workers. Levels are drawn once per
+    /// row in row order, as online inserts draw them, and the schedule
+    /// depends on the row count alone, so the graph is the same at any
+    /// thread count.
+    pub fn build_with(
+        vectors: Vectors,
+        metric: Metric,
+        cfg: HnswConfig,
+        opts: &BuildOptions,
+    ) -> Result<Self> {
         let mut idx = HnswIndex::new(vectors.dim(), metric, cfg)?;
-        for row in vectors.iter() {
-            MutableIndex::insert(&mut idx, row)?;
+        let n = vectors.len();
+        idx.vectors = vectors;
+        idx.add_nodes();
+        for batch in batch_schedule(n) {
+            idx.link(batch, opts.threads);
+        }
+        for layer in &mut idx.layers {
+            layer.compact();
         }
         Ok(idx)
     }
@@ -213,57 +240,96 @@ impl HnswIndex {
         &self.layers[l]
     }
 
-    fn max_degree(&self, layer: usize) -> usize {
-        if layer == 0 {
-            self.cfg.m * 2
-        } else {
-            self.cfg.m
-        }
+    /// The bottom-layer entry for `query`: greedy descent from the entry
+    /// point through every upper layer.
+    fn bottom_entry(&self, query: &[f32]) -> usize {
+        let top = self.levels[self.entry];
+        descend(
+            &self.layers,
+            &self.vectors,
+            &self.metric,
+            self.entry,
+            query,
+            top,
+            0,
+        )
     }
 
-    /// Greedy descent through the upper layers, returning the entry for
-    /// the target layer.
-    fn descend(&self, query: &[f32], from_layer: usize, to_layer: usize) -> usize {
-        let mut cur = self.entry;
-        let mut cur_d = self.metric.distance(query, self.vectors.get(cur));
-        for l in (to_layer + 1..=from_layer).rev() {
-            loop {
-                let mut improved = false;
-                for &nb in self.layers[l].neighbors(cur) {
-                    let d = self.metric.distance(query, self.vectors.get(nb as usize));
-                    if d < cur_d {
-                        cur_d = d;
-                        cur = nb as usize;
-                        improved = true;
-                    }
-                }
-                if !improved {
-                    break;
-                }
+    /// Re-prune every list of `nodes` on `layer` that is over its cap.
+    fn shrink(&mut self, layer: usize, nodes: &[usize]) {
+        let cap = max_degree(self.cfg.m, layer);
+        let (vectors, metric) = (&self.vectors, &self.metric);
+        prune_overfull(&mut self.layers[layer], vectors, metric, nodes, 1.0, cap, 1);
+    }
+
+    /// Give every row of `vectors` that has no node yet a level (one draw
+    /// per row, in row order) and an empty node on every layer.
+    fn add_nodes(&mut self) {
+        let n = self.vectors.len();
+        for _ in self.levels.len()..n {
+            let level = self.rng.hnsw_level(self.mult);
+            while self.layers.len() <= level {
+                self.layers.push(AdjacencyList::default());
+            }
+            self.levels.push(level);
+            self.deleted.push(false);
+        }
+        for layer in &mut self.layers {
+            while layer.len() < n {
+                layer.push_node();
             }
         }
-        cur
     }
 
-    /// Prune node `u` at `layer` down to the degree cap with the heuristic.
-    fn shrink(&mut self, u: usize, layer: usize) {
-        let cap = self.max_degree(layer);
-        if self.layers[layer].neighbors(u).len() <= cap {
-            return;
+    /// Link the batch `rows` (nodes already added) through
+    /// [`insert_batch`]: each row descends from the batch-start entry to
+    /// its level, then beam-searches and robust-prunes to `m` on every
+    /// layer from there down; then the entry moves to the first row of a
+    /// new top level, or off a tombstone, exactly as one-by-one inserts
+    /// would move it.
+    fn link(&mut self, rows: Range<usize>, threads: usize) {
+        let HnswIndex {
+            vectors,
+            metric,
+            cfg,
+            layers,
+            levels,
+            entry,
+            deleted,
+            removed,
+            ..
+        } = self;
+        if rows.start > 0 {
+            let (start, top, efc, m) = (*entry, levels[*entry], cfg.ef_construction, cfg.m);
+            let (levels, deleted, removed) = (&*levels, &*deleted, *removed);
+            let batch: Vec<usize> = rows.clone().collect();
+            let search = |graph: &[AdjacencyList], row: usize, ctx: &mut SearchContext| {
+                let q = vectors.get(row);
+                let level = levels[row].min(top);
+                let mut cur = descend(graph, vectors, metric, start, q, top, level);
+                let mut out = vec![Vec::new(); level + 1];
+                for l in (0..=level).rev() {
+                    let mut found =
+                        beam_search(&graph[l], vectors, metric, q, &[cur], efc, efc, ctx, None);
+                    if let Some(best) = found.first() {
+                        cur = best.id;
+                    }
+                    if removed > 0 {
+                        // Connect only to live nodes; tombstones just route.
+                        found.retain(|n| !deleted[n.id]);
+                    }
+                    out[l] = robust_prune(vectors, metric, row, found, 1.0, m);
+                }
+                out
+            };
+            let cap = |l| max_degree(m, l);
+            insert_batch(layers, vectors, metric, &batch, 1.0, cap, threads, search);
         }
-        let cands: Vec<Neighbor> = self.layers[layer]
-            .neighbors(u)
-            .iter()
-            .map(|&v| {
-                Neighbor::new(
-                    v as usize,
-                    self.metric
-                        .distance(self.vectors.get(u), self.vectors.get(v as usize)),
-                )
-            })
-            .collect();
-        let kept = robust_prune(&self.vectors, &self.metric, u, cands, 1.0, cap);
-        self.layers[layer].set_neighbors(u, kept);
+        for row in rows {
+            if row == 0 || levels[row] > levels[*entry] || deleted[*entry] {
+                *entry = row;
+            }
+        }
     }
 
     /// Number of tombstoned nodes.
@@ -293,6 +359,7 @@ impl HnswIndex {
     /// accumulate — the EXPERIMENTS.md §Vamana disconnection lesson.
     pub fn repair(&mut self) {
         for l in 0..self.layers.len() {
+            let mut patched_nodes = Vec::new();
             for u in 0..self.layers[l].len() {
                 if self.deleted[u] {
                     continue;
@@ -315,8 +382,9 @@ impl HnswIndex {
                     }
                 }
                 self.layers[l].set_neighbors(u, patched);
-                self.shrink(u, l);
+                patched_nodes.push(u);
             }
+            self.shrink(l, &patched_nodes);
         }
         self.removed_since_repair = 0;
     }
@@ -350,8 +418,7 @@ impl VectorIndex for HnswIndex {
         if k == 0 || self.vectors.is_empty() || self.live() == 0 {
             return Ok(Vec::new());
         }
-        let top = self.levels[self.entry];
-        let entry = self.descend(query, top, 0);
+        let entry = self.bottom_entry(query);
         if self.removed > 0 {
             // Tombstone traversal: deleted nodes route, never surface.
             let live = LiveFilter {
@@ -400,8 +467,7 @@ impl VectorIndex for HnswIndex {
         if k == 0 || self.vectors.is_empty() || self.live() == 0 {
             return Ok(Vec::new());
         }
-        let top = self.levels[self.entry];
-        let entry = self.descend(query, top, 0);
+        let entry = self.bottom_entry(query);
         // Budget scales inversely with selectivity when known.
         let cap = match filter.selectivity_hint() {
             Some(s) if s > 0.0 => {
@@ -443,8 +509,7 @@ impl VectorIndex for HnswIndex {
         if k == 0 || self.vectors.is_empty() || self.live() == 0 {
             return Ok(Vec::new());
         }
-        let top = self.levels[self.entry];
-        let entry = self.descend(query, top, 0);
+        let entry = self.bottom_entry(query);
         let live = LiveFilter {
             deleted: &self.deleted,
             inner: Some(filter),
@@ -526,68 +591,8 @@ impl VectorIndex for HnswIndex {
 impl MutableIndex for HnswIndex {
     fn insert(&mut self, vector: &[f32]) -> Result<usize> {
         let row = self.vectors.push(vector)?;
-        let level = self.rng.hnsw_level(self.mult);
-        while self.layers.len() <= level {
-            let mut l = AdjacencyList::new(row);
-            // Keep node-count parity across layers.
-            while l.len() < row {
-                l.push_node();
-            }
-            self.layers.push(l);
-        }
-        for l in &mut self.layers {
-            l.push_node();
-        }
-        self.levels.push(level);
-        self.deleted.push(false);
-        if row == 0 {
-            self.entry = 0;
-            return Ok(0);
-        }
-
-        let top = self.levels[self.entry];
-        let q = self.vectors.get(row).to_vec();
-        // Phase 1: greedy descent to one layer above the node's level.
-        let mut entry = if level < top {
-            self.descend(&q, top, level)
-        } else {
-            self.entry
-        };
-        // Phase 2: beam search + connect on each layer from min(level, top)
-        // down, reusing the thread-local scratch context across layers (and
-        // across the whole build loop).
-        context::with_local(|ctx| {
-            for l in (0..=level.min(top)).rev() {
-                let mut found = beam_search(
-                    &self.layers[l],
-                    &self.vectors,
-                    &self.metric,
-                    &q,
-                    &[entry],
-                    self.cfg.ef_construction,
-                    self.cfg.ef_construction,
-                    ctx,
-                    None,
-                );
-                if let Some(best) = found.first() {
-                    entry = best.id;
-                }
-                if self.removed > 0 {
-                    // Connect only to live nodes; tombstones just route.
-                    found.retain(|n| !self.deleted[n.id]);
-                }
-                let m = self.cfg.m;
-                let kept = robust_prune(&self.vectors, &self.metric, row, found, 1.0, m);
-                for &v in &kept {
-                    self.layers[l].add_edge(row, v);
-                    self.layers[l].add_edge(v as usize, row as u32);
-                    self.shrink(v as usize, l);
-                }
-            }
-        });
-        if level > top || self.deleted[self.entry] {
-            self.entry = row;
-        }
+        self.add_nodes();
+        self.link(row..row + 1, 1);
         Ok(row)
     }
 
@@ -606,6 +611,7 @@ impl MutableIndex for HnswIndex {
         // then re-prune it to the degree cap. The tombstone keeps its own
         // out-edges so asymmetric in-edges still route through it.
         for l in 0..=self.levels[id].min(self.layers.len() - 1) {
+            let mut patched_nodes = Vec::new();
             let nbrs: Vec<u32> = self.layers[l].neighbors(id).to_vec();
             let live: Vec<u32> = nbrs
                 .iter()
@@ -628,8 +634,9 @@ impl MutableIndex for HnswIndex {
                     }
                 }
                 self.layers[l].set_neighbors(u, patched);
-                self.shrink(u, l);
+                patched_nodes.push(u);
             }
+            self.shrink(l, &patched_nodes);
         }
         if id == self.entry {
             self.promote_entry();
@@ -643,6 +650,47 @@ impl MutableIndex for HnswIndex {
     fn live(&self) -> usize {
         self.vectors.len() - self.removed
     }
+}
+
+/// Degree cap of `layer`: `2m` on the bottom layer, `m` above it.
+fn max_degree(m: usize, layer: usize) -> usize {
+    if layer == 0 {
+        m * 2
+    } else {
+        m
+    }
+}
+
+/// Greedy descent from `entry` through layers `from_layer` down to
+/// `to_layer + 1`, returning the entry for `to_layer`.
+fn descend(
+    layers: &[AdjacencyList],
+    vectors: &Vectors,
+    metric: &Metric,
+    entry: usize,
+    query: &[f32],
+    from_layer: usize,
+    to_layer: usize,
+) -> usize {
+    let mut cur = entry;
+    let mut cur_d = metric.distance(query, vectors.get(cur));
+    for l in (to_layer + 1..=from_layer).rev() {
+        loop {
+            let mut improved = false;
+            for &nb in layers[l].neighbors(cur) {
+                let d = metric.distance(query, vectors.get(nb as usize));
+                if d < cur_d {
+                    cur_d = d;
+                    cur = nb as usize;
+                    improved = true;
+                }
+            }
+            if !improved {
+                break;
+            }
+        }
+    }
+    cur
 }
 
 impl std::fmt::Debug for HnswIndex {

@@ -6,7 +6,7 @@
 //! as the graph densifies around them, which is what makes the flat graph
 //! navigable.
 
-use crate::graph::{beam_search, beam_search_filtered, AdjacencyList};
+use crate::graph::{beam_search, beam_search_filtered, prune_overfull, AdjacencyList};
 use vdb_core::context::{self, SearchContext};
 use vdb_core::error::{Error, Result};
 use vdb_core::index::{
@@ -227,8 +227,10 @@ impl MutableIndex for NswIndex {
         self.removed += 1;
         // Patch in-neighbors by contracting the tombstone: each live
         // neighbor drops its edge to `id` and inherits `id`'s remaining
-        // live neighbors, keeping the live subgraph connected. The
-        // tombstone keeps its out-edges so stray in-edges still route.
+        // live neighbors, keeping the live subgraph connected, then is
+        // re-pruned (α = 1) to the build's mean degree `2m` if that
+        // overfills it. The tombstone keeps its out-edges so stray
+        // in-edges still route.
         let nbrs: Vec<u32> = self.adj.neighbors(id).to_vec();
         let live_nbrs: Vec<u32> = nbrs
             .iter()
@@ -236,8 +238,9 @@ impl MutableIndex for NswIndex {
             .filter(|&v| !self.deleted[v as usize])
             .collect();
         // `member[v] == u` marks v as already in u's patched list, so the
-        // merge stays linear in the (uncapped) degrees.
+        // merge stays linear in the degrees.
         let mut member = vec![usize::MAX; self.vectors.len()];
+        let mut patched_nodes = Vec::new();
         for &u in &nbrs {
             let u = u as usize;
             if self.deleted[u] {
@@ -258,7 +261,11 @@ impl MutableIndex for NswIndex {
                 }
             }
             self.adj.set_neighbors(u, patched);
+            patched_nodes.push(u);
         }
+        let cap = 2 * self.cfg.m;
+        let (vectors, metric) = (&self.vectors, &self.metric);
+        prune_overfull(&mut self.adj, vectors, metric, &patched_nodes, 1.0, cap, 1);
         if id == self.entry {
             // Lowest-id live node becomes the new anchor.
             if let Some(e) = (0..self.vectors.len()).find(|&i| !self.deleted[i]) {
@@ -379,6 +386,28 @@ mod tests {
         }
         let hits = idx.search(&v, 1, &params).unwrap();
         assert_eq!(hits[0].id, row);
+    }
+
+    #[test]
+    fn removals_keep_patched_lists_within_the_cap() {
+        let mut rng = Rng::seed_from_u64(12);
+        let data = dataset::clustered(1000, 8, 6, 0.5, &mut rng).vectors;
+        let mut idx = NswIndex::build(data, Metric::Euclidean, NswConfig::default()).unwrap();
+        let before: Vec<usize> = (0..1000)
+            .map(|u| idx.adjacency().neighbors(u).len())
+            .collect();
+        for id in (0..1000).step_by(4) {
+            MutableIndex::remove(&mut idx, id).unwrap();
+        }
+        let cap = 2 * idx.cfg.m;
+        for (u, &was) in before.iter().enumerate() {
+            let now = idx.adjacency().neighbors(u).len();
+            assert!(
+                now <= cap.max(was),
+                "node {u}: {now} edges, cap {cap}, built with {was}"
+            );
+        }
+        assert!(idx.adjacency().mean_degree() <= cap as f64);
     }
 
     #[test]

@@ -5,13 +5,18 @@
 //! candidate pool, then α-robust pruning. The first pass uses α = 1 (pure
 //! RNG rule), the second the configured α > 1, which re-adds long-range
 //! edges that make searches skip across the space — the key to DiskANN's
-//! low hop counts.
+//! low hop counts. Each pass refines the nodes in the batches of
+//! [`batch_schedule`] through [`insert_batch`].
 
-use crate::graph::{beam_search, beam_search_filtered, medoid, robust_prune, AdjacencyList};
+use crate::graph::{
+    batch_schedule, beam_search, beam_search_filtered, insert_batch, medoid, robust_prune,
+    AdjacencyList,
+};
 use vdb_core::context::SearchContext;
 use vdb_core::error::{Error, Result};
 use vdb_core::index::{check_query, IndexStats, RowFilter, SearchParams, VectorIndex};
 use vdb_core::metric::Metric;
+use vdb_core::parallel::BuildOptions;
 use vdb_core::rng::Rng;
 use vdb_core::topk::Neighbor;
 use vdb_core::vector::Vectors;
@@ -51,8 +56,22 @@ pub struct VamanaIndex {
 }
 
 impl VamanaIndex {
-    /// Build the graph.
+    /// Build the graph on one thread.
     pub fn build(vectors: Vectors, metric: Metric, cfg: VamanaConfig) -> Result<Self> {
+        Self::build_with(vectors, metric, cfg, &BuildOptions::serial())
+    }
+
+    /// Build the graph. Each refinement pass visits the nodes in a seeded
+    /// random order, cut into the batches of [`batch_schedule`]; a
+    /// batch's searches fan out over `opts.threads` workers, and nothing
+    /// else depends on the thread count, so the graph is the same at any
+    /// count.
+    pub fn build_with(
+        vectors: Vectors,
+        metric: Metric,
+        cfg: VamanaConfig,
+        opts: &BuildOptions,
+    ) -> Result<Self> {
         if cfg.r == 0 || cfg.l == 0 {
             return Err(Error::InvalidParameter(
                 "vamana needs r >= 1 and l >= 1".into(),
@@ -84,55 +103,42 @@ impl VamanaIndex {
             }
         }
 
-        // One build-scoped scratch context serves every construction search.
-        let mut ctx = SearchContext::for_index(n);
         let mut order: Vec<usize> = (0..n).collect();
+        let batches = batch_schedule(n);
         for pass_alpha in [1.0, cfg.alpha] {
             rng.shuffle(&mut order);
-            for &u in &order {
+            // A node's candidates are its search pool plus its current
+            // out-neighbors; reverse edges that overflow a list re-prune it.
+            let refine = |graph: &[AdjacencyList], u: usize, ctx: &mut SearchContext| {
+                let adj = &graph[0];
                 let q = vectors.get(u);
-                let mut pool = beam_search(
-                    &adj,
-                    &vectors,
-                    &metric,
-                    q,
-                    &[start],
-                    cfg.l,
-                    cfg.l,
-                    &mut ctx,
-                    None,
-                );
-                // Include current out-neighbors as candidates.
+                let mut pool =
+                    beam_search(adj, &vectors, &metric, q, &[start], cfg.l, cfg.l, ctx, None);
                 for &v in adj.neighbors(u) {
                     pool.push(Neighbor::new(
                         v as usize,
                         metric.distance(q, vectors.get(v as usize)),
                     ));
                 }
-                let kept = robust_prune(&vectors, &metric, u, pool, pass_alpha, cfg.r);
-                adj.set_neighbors(u, kept.clone());
-                // Reverse edges, pruning receivers that overflow.
-                for &v in &kept {
-                    let v = v as usize;
-                    if adj.add_edge(v, u as u32) && adj.neighbors(v).len() > cfg.r {
-                        let cands: Vec<Neighbor> = adj
-                            .neighbors(v)
-                            .iter()
-                            .map(|&w| {
-                                Neighbor::new(
-                                    w as usize,
-                                    metric.distance(vectors.get(v), vectors.get(w as usize)),
-                                )
-                            })
-                            .collect();
-                        let kept_v = robust_prune(&vectors, &metric, v, cands, pass_alpha, cfg.r);
-                        adj.set_neighbors(v, kept_v);
-                    }
-                }
+                vec![robust_prune(&vectors, &metric, u, pool, pass_alpha, cfg.r)]
+            };
+            for batch in &batches {
+                insert_batch(
+                    std::slice::from_mut(&mut adj),
+                    &vectors,
+                    &metric,
+                    &order[batch.clone()],
+                    pass_alpha,
+                    |_| cfg.r,
+                    opts.threads,
+                    refine,
+                );
             }
         }
 
+        let mut ctx = SearchContext::for_index(n);
         let repaired = repair_connectivity(&mut adj, &vectors, &metric, start, cfg.l, &mut ctx);
+        adj.compact();
 
         Ok(VamanaIndex {
             vectors,

@@ -8,7 +8,6 @@
 //!   admission-controlled eviction, and lock-free hit/miss/eviction
 //!   counters (the instrument of experiments F7/D1); a miss reads the
 //!   page inline and installs it,
-//! - [`vector_store`] — page-aligned disk-resident vector records,
 //! - [`column`] — typed, nullable attribute columns with a cached summary
 //!   (exact statistics, numeric rows in value order) for selectivity
 //!   estimation and range filters (§2.1 hybrid queries),
@@ -35,7 +34,6 @@ pub mod file;
 pub mod lsm;
 pub mod page;
 pub mod snapshot;
-pub mod vector_store;
 pub mod wal;
 
 pub use cache::{global_cache_stats, CacheStats, PageCache};
@@ -44,5 +42,4 @@ pub use file::{PagedFile, TempDir};
 pub use lsm::{KeyedNeighbor, LsmConfig, LsmStore};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use snapshot::{Checkpoint, Snapshot, SnapshotColumn};
-pub use vector_store::DiskVectorStore;
 pub use wal::{crc32, decode_shipped, ship_record, ShippedRecord, Wal, WalRecord};

@@ -187,9 +187,11 @@ pub struct CollectionConfig {
     pub planner: PlannerMode,
     /// Directory for the write-ahead log (None = no durability).
     pub wal_dir: Option<PathBuf>,
-    /// Build options for merge-time index rebuilds. Defaults to serial so
-    /// a rebuild never competes with searches for cores; `threads > 1`
-    /// shortens rebuilds without changing the index they produce.
+    /// Build options for merge-time index rebuilds and replica installs.
+    /// Defaults to serial so a rebuild never competes with searches for
+    /// cores; `threads > 1` shortens rebuilds without changing the index
+    /// they produce. [`Collection::recover`] ignores it and builds with
+    /// every core, since nothing is served beside a recovery.
     pub build: BuildOptions,
 }
 
@@ -407,7 +409,9 @@ impl Collection {
     /// Recover a collection from its durability directory: load the last
     /// checkpoint snapshot (if any), then replay the WAL tail on top of
     /// it. Replay is idempotent over the snapshot, so every crash point
-    /// in the checkpoint protocol recovers to a consistent state.
+    /// in the checkpoint protocol recovers to a consistent state. An index
+    /// the snapshot holds no usable image of is built with
+    /// [`BuildOptions::default`] (every core): nothing is served yet.
     pub fn recover(schema: CollectionSchema, cfg: CollectionConfig) -> Result<Self> {
         let Some(dir) = cfg.wal_dir.clone() else {
             return Err(Error::InvalidParameter(
@@ -424,7 +428,7 @@ impl Collection {
         // without the worker (replay merges run inline).
         let mut c = Collection::offline(schema, cfg)?;
         if let Some(ckpt) = ckpt {
-            c.install_snapshot(ckpt)?;
+            c.install_snapshot(ckpt, &BuildOptions::default())?;
         }
         for rec in records {
             match rec {
@@ -447,8 +451,9 @@ impl Collection {
     /// index spec (same fingerprint) over exactly these rows and it
     /// decodes and validates; otherwise — legacy snapshot, changed spec,
     /// family without an image, damaged image — it is rebuilt from the
-    /// snapshot vectors, so a changed spec is honored, not rejected.
-    fn install_snapshot(&mut self, ckpt: Checkpoint) -> Result<()> {
+    /// snapshot vectors with `build`, so a changed spec is honored, not
+    /// rejected.
+    fn install_snapshot(&mut self, ckpt: Checkpoint, build: &BuildOptions) -> Result<()> {
         let Checkpoint {
             snapshot: snap,
             index: image,
@@ -499,11 +504,7 @@ impl Collection {
         let index = match loaded {
             Some(index) => Some(index),
             None if snap.vectors.is_empty() => None,
-            None => Some(spec.build_with(
-                snap.vectors.clone(),
-                schema.metric.clone(),
-                &self.inner.cfg.build,
-            )?),
+            None => Some(spec.build_with(snap.vectors.clone(), schema.metric.clone(), build)?),
         };
         // Prefer the snapshot's serialized inverted index; fall back to a
         // rebuild from the text column for legacy images, damaged/alien
@@ -915,7 +916,8 @@ impl Collection {
             .map(|s| s.record)
             .collect();
         let disk_ckpt = ckpt.clone();
-        self.install_snapshot(ckpt)?;
+        let build = self.inner.cfg.build.clone();
+        self.install_snapshot(ckpt, &build)?;
         // Reset the write side and detach WAL + sink for the tail replay
         // (the replay must neither re-log records the WAL rewrite below
         // will install wholesale, nor ship them back out).

@@ -266,11 +266,14 @@ impl IndexSpec {
     }
 
     /// Build an index over an owned collection with explicit
-    /// [`BuildOptions`], forwarded to every family whose build has a
-    /// per-item fan-out (the IVFs, SPANN, DiskANN's navigation codes, the
-    /// forests, KNNG and NSG). The index is the same at any thread count;
-    /// the graph-insert families (NSW, HNSW, Vamana), Flat, LSH and the
+    /// [`BuildOptions`], forwarded to every family whose build fans out:
+    /// the IVFs, SPANN, the forests, KNNG, NSG, the batch-built HNSW and
+    /// Vamana graphs, and DiskANN (its Vamana graph and navigation codes).
+    /// The index is the same at any thread count; NSW, Flat, LSH and the
     /// single-tree kd/PCA indexes always build on one thread.
+    /// [`Collection::recover`](crate::Collection::recover) builds with
+    /// every core, since nothing is served beside it; merge-time rebuilds
+    /// use `CollectionConfig::build`.
     pub fn build_with(
         &self,
         vectors: Vectors,
@@ -305,15 +308,19 @@ impl IndexSpec {
                 Box::new(KnngIndex::build_with(vectors, metric, cfg.clone(), opts)?)
             }
             IndexSpec::Nsw(cfg) => Box::new(NswIndex::build(vectors, metric, cfg.clone())?),
-            IndexSpec::Hnsw(cfg) => Box::new(HnswIndex::build(vectors, metric, cfg.clone())?),
+            IndexSpec::Hnsw(cfg) => {
+                Box::new(HnswIndex::build_with(vectors, metric, cfg.clone(), opts)?)
+            }
             IndexSpec::Nsg(cfg) => {
                 Box::new(NsgIndex::build_with(vectors, metric, cfg.clone(), opts)?)
             }
-            IndexSpec::Vamana(cfg) => Box::new(VamanaIndex::build(vectors, metric, cfg.clone())?),
+            IndexSpec::Vamana(cfg) => {
+                Box::new(VamanaIndex::build_with(vectors, metric, cfg.clone(), opts)?)
+            }
             IndexSpec::DiskAnn { memory_fraction } => {
                 let dim = vectors.dim();
                 let budget = budget_pages(vectors.len(), dim, *memory_fraction);
-                let vam = VamanaIndex::build(vectors, metric, VamanaConfig::default())?;
+                let vam = VamanaIndex::build_with(vectors, metric, VamanaConfig::default(), opts)?;
                 let dir = vdb_storage::TempDir::new("spec-diskann")?;
                 let path = dir.file(DISKANN_FILE);
                 let inner = DiskAnnIndex::build_with(

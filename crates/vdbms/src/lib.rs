@@ -27,8 +27,7 @@
 //!   LSM-buffered out-of-place updates (§2.3(3)),
 //! - [`schema`] / [`indexspec`] — declarative collection and index specs,
 //! - [`embed`] — the in-system text embedder (§2.1 indirect manipulation),
-//! - [`vql`] / [`dsl`] — the textual query language and the fluent
-//!   builder API (§2.1 query interfaces),
+//! - [`vql`] — the textual query language (§2.1 query interfaces),
 //! - [`profile`] — mostly-vector vs mostly-mixed system profiles (§2.4).
 
 #![warn(missing_docs)]
@@ -36,7 +35,6 @@
 
 pub mod collection;
 pub mod db;
-pub mod dsl;
 pub mod embed;
 pub mod indexspec;
 pub mod profile;
@@ -48,7 +46,6 @@ pub use collection::{
     ReplicationSink, SearchHit,
 };
 pub use db::{MaintenanceStats, Vdbms, VqlOutput};
-pub use dsl::SearchRequest;
 pub use embed::TextEmbedder;
 pub use indexspec::IndexSpec;
 pub use profile::SystemProfile;

@@ -5,6 +5,7 @@ use vdb::{Collection, CollectionConfig, CollectionSchema, IndexSpec};
 use vdb_core::recall::GroundTruth;
 use vdb_core::{dataset, BuildOptions, Metric, Neighbor, Rng, SearchParams, VectorIndex, Vectors};
 use vdb_distributed::{DistributedConfig, DistributedIndex};
+use vdb_index_graph::graph::batch_schedule;
 
 fn dataset_and_queries() -> (Vectors, Vectors, GroundTruth) {
     let mut rng = Rng::seed_from_u64(7100);
@@ -45,6 +46,11 @@ fn assert_bit_identical(a: &[Vec<Neighbor>], b: &[Vec<Neighbor>], what: &str) {
 #[test]
 fn every_family_is_bit_identical_at_any_thread_count() {
     let (data, queries, _) = dataset_and_queries();
+    // HNSW, Vamana and DiskANN search each batch of the schedule on
+    // every worker; a fixture whose batches never reach 4 rows would
+    // leave the 4-thread build partly serial and the comparison weaker.
+    let widest = batch_schedule(data.len()).iter().map(|b| b.len()).max();
+    assert!(widest >= Some(4), "widest batch {widest:?}");
     let names = IndexSpec::all_defaults()
         .iter()
         .map(IndexSpec::name)

@@ -86,7 +86,7 @@ const BUDGETS: &[(&str, u64, u64)] = &[
     ("hnsw", 100, 16000),
     ("nsg", 100, 16000),
     ("vamana", 100, 16000),
-    ("diskann", 11504, 23640256),
+    ("diskann", 11560, 23755840),
     ("spann", 5972, 12135808),
     ("collection/hnsw", 600, 123200),
 ];
