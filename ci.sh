@@ -72,6 +72,10 @@ echo "== kernel equivalence with SIMD force-disabled =="
 # still run; this pass proves the *dispatched* entry points behave when
 # pinned to the portable fallback.
 VDB_FORCE_SCALAR=1 cargo test -q --release -p vdb-core --test kernel_equivalence
+# Single-pair, x4 and batch agree bit for bit; the Metric-layer half of
+# that check runs through the dispatched kernels, so it needs this pass
+# to cover the fallback.
+VDB_FORCE_SCALAR=1 cargo test -q --release --test properties
 # The IVF list scans (distance gather, SQ and ADC kernels) on the fallback.
 VDB_FORCE_SCALAR=1 cargo test -q --release -p vdb-index-table
 # Every family's answers match the goldens recorded for the scalar backend.

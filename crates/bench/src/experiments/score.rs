@@ -69,7 +69,7 @@ pub fn k1_simd_dispatch() -> Result<()> {
     let mut rows = Vec::new();
 
     // Pairwise: one query against one vector (graph-expansion shape).
-    for dim in [64usize, 256, 1024] {
+    for dim in [32usize, 64, 128, 256, 1024] {
         let a: Vec<f32> = (0..dim).map(|_| rng.normal_f32()).collect();
         let b: Vec<f32> = (0..dim).map(|_| rng.normal_f32()).collect();
         let bytes = dim * 8;
@@ -115,6 +115,38 @@ pub fn k1_simd_dispatch() -> Result<()> {
             fmt(n1, 1),
         ]);
     }
+
+    // Gathered x4: four rows named by shuffled ids per call (graph-expansion
+    // and IVF-list shape), over a table too large for L1/L2.
+    let dim = 64usize;
+    let q: Vec<f32> = (0..dim).map(|_| rng.normal_f32()).collect();
+    let table: Vec<f32> = (0..n * dim).map(|_| rng.normal_f32()).collect();
+    let mut ids: Vec<usize> = (0..n).collect();
+    rng.shuffle(&mut ids);
+    let row = |i: usize| &table[ids[i] * dim..(ids[i] + 1) * dim];
+    type X4 = fn(&[f32], &[f32], &[f32], &[f32], &[f32]) -> [f32; 4];
+    let gather = |x4: X4| {
+        for i in (0..n).step_by(4) {
+            black_box(x4(
+                black_box(&q),
+                row(i),
+                row(i + 1),
+                row(i + 2),
+                row(i + 3),
+            ));
+        }
+    };
+    let bytes = n * dim * 4;
+    let (g0, n0) = scan_rate(bytes, n, 40, || gather(scalar.l2_sq_x4));
+    let (g1, n1) = scan_rate(bytes, n, 40, || gather(kernel::l2_sq_x4));
+    rows.push(vec![
+        format!("gather l2_sq_x4 d={dim} n={n}"),
+        fmt(g0, 2),
+        fmt(g1, 2),
+        fmt(g1 / g0, 2),
+        fmt(n0, 1),
+        fmt(n1, 1),
+    ]);
 
     // ADC scan: m-byte PQ codes against an m × ksub table (IVFADC shape).
     // Baseline is the naive per-code lookup loop the scan kernel replaced.

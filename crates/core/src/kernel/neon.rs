@@ -32,11 +32,15 @@ pub static KERNELS: Kernels = Kernels {
 };
 
 fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
-    unsafe { l2_sq_neon(a, b) }
+    // SAFETY: reachable only after the NEON probe; the wrapper trims
+    // `b` to `a.len()` floats.
+    unsafe { l2_sq_rows(a, [b.as_ptr()])[0] }
 }
 
 fn dot(a: &[f32], b: &[f32]) -> f32 {
-    unsafe { dot_neon(a, b) }
+    // SAFETY: reachable only after the NEON probe; the wrapper trims
+    // `b` to `a.len()` floats.
+    unsafe { dot_rows(a, [b.as_ptr()])[0] }
 }
 
 fn cosine(a: &[f32], b: &[f32]) -> f32 {
@@ -44,11 +48,15 @@ fn cosine(a: &[f32], b: &[f32]) -> f32 {
 }
 
 fn l2_sq_x4(q: &[f32], r0: &[f32], r1: &[f32], r2: &[f32], r3: &[f32]) -> [f32; 4] {
-    unsafe { l2_sq_x4_neon(q, r0.as_ptr(), r1.as_ptr(), r2.as_ptr(), r3.as_ptr()) }
+    // SAFETY: reachable only after the NEON probe; the wrapper trims
+    // every row to `q.len()` floats.
+    unsafe { l2_sq_rows(q, [r0.as_ptr(), r1.as_ptr(), r2.as_ptr(), r3.as_ptr()]) }
 }
 
 fn dot_x4(q: &[f32], r0: &[f32], r1: &[f32], r2: &[f32], r3: &[f32]) -> [f32; 4] {
-    unsafe { dot_x4_neon(q, r0.as_ptr(), r1.as_ptr(), r2.as_ptr(), r3.as_ptr()) }
+    // SAFETY: reachable only after the NEON probe; the wrapper trims
+    // every row to `q.len()` floats.
+    unsafe { dot_rows(q, [r0.as_ptr(), r1.as_ptr(), r2.as_ptr(), r3.as_ptr()]) }
 }
 
 fn l2_sq_batch(q: &[f32], rows: &[f32], dim: usize, out: &mut [f32]) {
@@ -56,13 +64,17 @@ fn l2_sq_batch(q: &[f32], rows: &[f32], dim: usize, out: &mut [f32]) {
     let base = rows.as_ptr();
     let mut r = 0;
     while r + 4 <= n {
+        // SAFETY: reachable only after the NEON probe; rows `r..r + 4` lie
+        // inside `rows`, which the wrapper trims to `out.len()` whole rows.
         let d = unsafe {
-            l2_sq_x4_neon(
+            l2_sq_rows(
                 q,
-                base.add(r * dim),
-                base.add((r + 1) * dim),
-                base.add((r + 2) * dim),
-                base.add((r + 3) * dim),
+                [
+                    base.add(r * dim),
+                    base.add((r + 1) * dim),
+                    base.add((r + 2) * dim),
+                    base.add((r + 3) * dim),
+                ],
             )
         };
         out[r..r + 4].copy_from_slice(&d);
@@ -79,13 +91,17 @@ fn dot_batch(q: &[f32], rows: &[f32], dim: usize, out: &mut [f32]) {
     let base = rows.as_ptr();
     let mut r = 0;
     while r + 4 <= n {
+        // SAFETY: reachable only after the NEON probe; rows `r..r + 4` lie
+        // inside `rows`, which the wrapper trims to `out.len()` whole rows.
         let d = unsafe {
-            dot_x4_neon(
+            dot_rows(
                 q,
-                base.add(r * dim),
-                base.add((r + 1) * dim),
-                base.add((r + 2) * dim),
-                base.add((r + 3) * dim),
+                [
+                    base.add(r * dim),
+                    base.add((r + 1) * dim),
+                    base.add((r + 2) * dim),
+                    base.add((r + 3) * dim),
+                ],
             )
         };
         out[r..r + 4].copy_from_slice(&d);
@@ -95,58 +111,6 @@ fn dot_batch(q: &[f32], rows: &[f32], dim: usize, out: &mut [f32]) {
         out[r] = dot(q, &rows[r * dim..(r + 1) * dim]);
         r += 1;
     }
-}
-
-#[target_feature(enable = "neon")]
-unsafe fn l2_sq_neon(a: &[f32], b: &[f32]) -> f32 {
-    let n = a.len();
-    let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    let mut acc0 = vdupq_n_f32(0.0);
-    let mut acc1 = vdupq_n_f32(0.0);
-    let mut i = 0;
-    while i + 8 <= n {
-        let d0 = vsubq_f32(vld1q_f32(ap.add(i)), vld1q_f32(bp.add(i)));
-        let d1 = vsubq_f32(vld1q_f32(ap.add(i + 4)), vld1q_f32(bp.add(i + 4)));
-        acc0 = vfmaq_f32(acc0, d0, d0);
-        acc1 = vfmaq_f32(acc1, d1, d1);
-        i += 8;
-    }
-    if i + 4 <= n {
-        let d = vsubq_f32(vld1q_f32(ap.add(i)), vld1q_f32(bp.add(i)));
-        acc0 = vfmaq_f32(acc0, d, d);
-        i += 4;
-    }
-    let mut acc = vaddvq_f32(vaddq_f32(acc0, acc1));
-    while i < n {
-        let d = *ap.add(i) - *bp.add(i);
-        acc += d * d;
-        i += 1;
-    }
-    acc
-}
-
-#[target_feature(enable = "neon")]
-unsafe fn dot_neon(a: &[f32], b: &[f32]) -> f32 {
-    let n = a.len();
-    let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    let mut acc0 = vdupq_n_f32(0.0);
-    let mut acc1 = vdupq_n_f32(0.0);
-    let mut i = 0;
-    while i + 8 <= n {
-        acc0 = vfmaq_f32(acc0, vld1q_f32(ap.add(i)), vld1q_f32(bp.add(i)));
-        acc1 = vfmaq_f32(acc1, vld1q_f32(ap.add(i + 4)), vld1q_f32(bp.add(i + 4)));
-        i += 8;
-    }
-    if i + 4 <= n {
-        acc0 = vfmaq_f32(acc0, vld1q_f32(ap.add(i)), vld1q_f32(bp.add(i)));
-        i += 4;
-    }
-    let mut acc = vaddvq_f32(vaddq_f32(acc0, acc1));
-    while i < n {
-        acc += *ap.add(i) * *bp.add(i);
-        i += 1;
-    }
-    acc
 }
 
 #[target_feature(enable = "neon")]
@@ -176,97 +140,69 @@ unsafe fn cosine_neon(a: &[f32], b: &[f32]) -> f32 {
     finish_cosine(sd, sa, sb)
 }
 
-/// Four-row squared L2 with one query load shared across rows.
+/// Squared L2 from `q` to each of `R` rows, sharing one query load per
+/// four dimensions. Each row has one 4-lane FMA accumulator, reduced by
+/// `vaddvq_f32`, then a serial tail. `l2_sq` (`R = 1`), `l2_sq_x4`
+/// (`R = 4`) and `l2_sq_batch` are all instances, so a pair gets the same
+/// bits from every call shape.
 ///
 /// # Safety
 /// Each row pointer must reference at least `q.len()` readable floats.
 #[target_feature(enable = "neon")]
-unsafe fn l2_sq_x4_neon(
-    q: &[f32],
-    r0: *const f32,
-    r1: *const f32,
-    r2: *const f32,
-    r3: *const f32,
-) -> [f32; 4] {
+unsafe fn l2_sq_rows<const R: usize>(q: &[f32], rows: [*const f32; R]) -> [f32; R] {
     let n = q.len();
     let qp = q.as_ptr();
-    let mut a0 = vdupq_n_f32(0.0);
-    let mut a1 = vdupq_n_f32(0.0);
-    let mut a2 = vdupq_n_f32(0.0);
-    let mut a3 = vdupq_n_f32(0.0);
+    let mut acc = [vdupq_n_f32(0.0); R];
     let mut i = 0;
     while i + 4 <= n {
         let qv = vld1q_f32(qp.add(i));
-        let d0 = vsubq_f32(qv, vld1q_f32(r0.add(i)));
-        let d1 = vsubq_f32(qv, vld1q_f32(r1.add(i)));
-        let d2 = vsubq_f32(qv, vld1q_f32(r2.add(i)));
-        let d3 = vsubq_f32(qv, vld1q_f32(r3.add(i)));
-        a0 = vfmaq_f32(a0, d0, d0);
-        a1 = vfmaq_f32(a1, d1, d1);
-        a2 = vfmaq_f32(a2, d2, d2);
-        a3 = vfmaq_f32(a3, d3, d3);
+        for r in 0..R {
+            let d = vsubq_f32(qv, vld1q_f32(rows[r].add(i)));
+            acc[r] = vfmaq_f32(acc[r], d, d);
+        }
         i += 4;
     }
-    let mut out = [
-        vaddvq_f32(a0),
-        vaddvq_f32(a1),
-        vaddvq_f32(a2),
-        vaddvq_f32(a3),
-    ];
+    let mut out = [0.0; R];
+    for r in 0..R {
+        out[r] = vaddvq_f32(acc[r]);
+    }
     while i < n {
         let qi = *qp.add(i);
-        let e0 = qi - *r0.add(i);
-        let e1 = qi - *r1.add(i);
-        let e2 = qi - *r2.add(i);
-        let e3 = qi - *r3.add(i);
-        out[0] += e0 * e0;
-        out[1] += e1 * e1;
-        out[2] += e2 * e2;
-        out[3] += e3 * e3;
+        for r in 0..R {
+            let e = qi - *rows[r].add(i);
+            out[r] += e * e;
+        }
         i += 1;
     }
     out
 }
 
-/// Four-row dot product; see [`l2_sq_x4_neon`].
+/// Dot products of `q` with each of `R` rows; see [`l2_sq_rows`].
 ///
 /// # Safety
 /// Each row pointer must reference at least `q.len()` readable floats.
 #[target_feature(enable = "neon")]
-unsafe fn dot_x4_neon(
-    q: &[f32],
-    r0: *const f32,
-    r1: *const f32,
-    r2: *const f32,
-    r3: *const f32,
-) -> [f32; 4] {
+unsafe fn dot_rows<const R: usize>(q: &[f32], rows: [*const f32; R]) -> [f32; R] {
     let n = q.len();
     let qp = q.as_ptr();
-    let mut a0 = vdupq_n_f32(0.0);
-    let mut a1 = vdupq_n_f32(0.0);
-    let mut a2 = vdupq_n_f32(0.0);
-    let mut a3 = vdupq_n_f32(0.0);
+    let mut acc = [vdupq_n_f32(0.0); R];
     let mut i = 0;
     while i + 4 <= n {
         let qv = vld1q_f32(qp.add(i));
-        a0 = vfmaq_f32(a0, qv, vld1q_f32(r0.add(i)));
-        a1 = vfmaq_f32(a1, qv, vld1q_f32(r1.add(i)));
-        a2 = vfmaq_f32(a2, qv, vld1q_f32(r2.add(i)));
-        a3 = vfmaq_f32(a3, qv, vld1q_f32(r3.add(i)));
+        for r in 0..R {
+            acc[r] = vfmaq_f32(acc[r], qv, vld1q_f32(rows[r].add(i)));
+        }
         i += 4;
     }
-    let mut out = [
-        vaddvq_f32(a0),
-        vaddvq_f32(a1),
-        vaddvq_f32(a2),
-        vaddvq_f32(a3),
-    ];
+    let mut out = [0.0; R];
+    for r in 0..R {
+        out[r] = vaddvq_f32(acc[r]);
+    }
     while i < n {
         let qi = *qp.add(i);
-        out[0] += qi * *r0.add(i);
-        out[1] += qi * *r1.add(i);
-        out[2] += qi * *r2.add(i);
-        out[3] += qi * *r3.add(i);
+        for r in 0..R {
+            out[r] += qi * *rows[r].add(i);
+        }
         i += 1;
     }
     out

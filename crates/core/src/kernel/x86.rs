@@ -34,11 +34,15 @@ pub static KERNELS: Kernels = Kernels {
 };
 
 fn l2_sq(a: &[f32], b: &[f32]) -> f32 {
-    unsafe { l2_sq_avx2(a, b) }
+    // SAFETY: reachable only after the AVX2+FMA probe; the wrapper trims
+    // `b` to `a.len()` floats.
+    unsafe { l2_sq_rows(a, [b.as_ptr()])[0] }
 }
 
 fn dot(a: &[f32], b: &[f32]) -> f32 {
-    unsafe { dot_avx2(a, b) }
+    // SAFETY: reachable only after the AVX2+FMA probe; the wrapper trims
+    // `b` to `a.len()` floats.
+    unsafe { dot_rows(a, [b.as_ptr()])[0] }
 }
 
 fn cosine(a: &[f32], b: &[f32]) -> f32 {
@@ -46,11 +50,15 @@ fn cosine(a: &[f32], b: &[f32]) -> f32 {
 }
 
 fn l2_sq_x4(q: &[f32], r0: &[f32], r1: &[f32], r2: &[f32], r3: &[f32]) -> [f32; 4] {
-    unsafe { l2_sq_x4_avx2(q, r0.as_ptr(), r1.as_ptr(), r2.as_ptr(), r3.as_ptr()) }
+    // SAFETY: reachable only after the AVX2+FMA probe; the wrapper trims
+    // every row to `q.len()` floats.
+    unsafe { l2_sq_rows(q, [r0.as_ptr(), r1.as_ptr(), r2.as_ptr(), r3.as_ptr()]) }
 }
 
 fn dot_x4(q: &[f32], r0: &[f32], r1: &[f32], r2: &[f32], r3: &[f32]) -> [f32; 4] {
-    unsafe { dot_x4_avx2(q, r0.as_ptr(), r1.as_ptr(), r2.as_ptr(), r3.as_ptr()) }
+    // SAFETY: reachable only after the AVX2+FMA probe; the wrapper trims
+    // every row to `q.len()` floats.
+    unsafe { dot_rows(q, [r0.as_ptr(), r1.as_ptr(), r2.as_ptr(), r3.as_ptr()]) }
 }
 
 fn l2_sq_batch(q: &[f32], rows: &[f32], dim: usize, out: &mut [f32]) {
@@ -86,65 +94,6 @@ unsafe fn hsum(v: __m256) -> f32 {
 }
 
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn l2_sq_avx2(a: &[f32], b: &[f32]) -> f32 {
-    let n = a.len();
-    let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    let mut acc0 = _mm256_setzero_ps();
-    let mut acc1 = _mm256_setzero_ps();
-    let mut i = 0;
-    while i + 16 <= n {
-        let d0 = _mm256_sub_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)));
-        let d1 = _mm256_sub_ps(
-            _mm256_loadu_ps(ap.add(i + 8)),
-            _mm256_loadu_ps(bp.add(i + 8)),
-        );
-        acc0 = _mm256_fmadd_ps(d0, d0, acc0);
-        acc1 = _mm256_fmadd_ps(d1, d1, acc1);
-        i += 16;
-    }
-    if i + 8 <= n {
-        let d = _mm256_sub_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)));
-        acc0 = _mm256_fmadd_ps(d, d, acc0);
-        i += 8;
-    }
-    let mut acc = hsum(_mm256_add_ps(acc0, acc1));
-    while i < n {
-        let d = *ap.add(i) - *bp.add(i);
-        acc += d * d;
-        i += 1;
-    }
-    acc
-}
-
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dot_avx2(a: &[f32], b: &[f32]) -> f32 {
-    let n = a.len();
-    let (ap, bp) = (a.as_ptr(), b.as_ptr());
-    let mut acc0 = _mm256_setzero_ps();
-    let mut acc1 = _mm256_setzero_ps();
-    let mut i = 0;
-    while i + 16 <= n {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc0);
-        acc1 = _mm256_fmadd_ps(
-            _mm256_loadu_ps(ap.add(i + 8)),
-            _mm256_loadu_ps(bp.add(i + 8)),
-            acc1,
-        );
-        i += 16;
-    }
-    if i + 8 <= n {
-        acc0 = _mm256_fmadd_ps(_mm256_loadu_ps(ap.add(i)), _mm256_loadu_ps(bp.add(i)), acc0);
-        i += 8;
-    }
-    let mut acc = hsum(_mm256_add_ps(acc0, acc1));
-    while i < n {
-        acc += *ap.add(i) * *bp.add(i);
-        i += 1;
-    }
-    acc
-}
-
-#[target_feature(enable = "avx2", enable = "fma")]
 unsafe fn cosine_avx2(a: &[f32], b: &[f32]) -> f32 {
     let n = a.len();
     let (ap, bp) = (a.as_ptr(), b.as_ptr());
@@ -171,87 +120,69 @@ unsafe fn cosine_avx2(a: &[f32], b: &[f32]) -> f32 {
     finish_cosine(sd, sa, sb)
 }
 
-/// Four-row squared L2 with one broadcast query load per eight dimensions.
+/// Squared L2 from `q` to each of `R` rows, sharing one query load per
+/// eight dimensions. Each row has one 8-lane FMA accumulator, reduced by
+/// [`hsum`], then a serial tail. `l2_sq` (`R = 1`), `l2_sq_x4` (`R = 4`)
+/// and `l2_sq_batch` are all instances, so a pair gets the same bits from
+/// every call shape.
 ///
 /// # Safety
 /// Each row pointer must reference at least `q.len()` readable floats.
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn l2_sq_x4_avx2(
-    q: &[f32],
-    r0: *const f32,
-    r1: *const f32,
-    r2: *const f32,
-    r3: *const f32,
-) -> [f32; 4] {
+unsafe fn l2_sq_rows<const R: usize>(q: &[f32], rows: [*const f32; R]) -> [f32; R] {
     let n = q.len();
     let qp = q.as_ptr();
-    let mut a0 = _mm256_setzero_ps();
-    let mut a1 = _mm256_setzero_ps();
-    let mut a2 = _mm256_setzero_ps();
-    let mut a3 = _mm256_setzero_ps();
+    let mut acc = [_mm256_setzero_ps(); R];
     let mut i = 0;
     while i + 8 <= n {
         let qv = _mm256_loadu_ps(qp.add(i));
-        let d0 = _mm256_sub_ps(qv, _mm256_loadu_ps(r0.add(i)));
-        let d1 = _mm256_sub_ps(qv, _mm256_loadu_ps(r1.add(i)));
-        let d2 = _mm256_sub_ps(qv, _mm256_loadu_ps(r2.add(i)));
-        let d3 = _mm256_sub_ps(qv, _mm256_loadu_ps(r3.add(i)));
-        a0 = _mm256_fmadd_ps(d0, d0, a0);
-        a1 = _mm256_fmadd_ps(d1, d1, a1);
-        a2 = _mm256_fmadd_ps(d2, d2, a2);
-        a3 = _mm256_fmadd_ps(d3, d3, a3);
+        for r in 0..R {
+            let d = _mm256_sub_ps(qv, _mm256_loadu_ps(rows[r].add(i)));
+            acc[r] = _mm256_fmadd_ps(d, d, acc[r]);
+        }
         i += 8;
     }
-    let mut out = [hsum(a0), hsum(a1), hsum(a2), hsum(a3)];
+    let mut out = [0.0; R];
+    for r in 0..R {
+        out[r] = hsum(acc[r]);
+    }
     while i < n {
         let qi = *qp.add(i);
-        let e0 = qi - *r0.add(i);
-        let e1 = qi - *r1.add(i);
-        let e2 = qi - *r2.add(i);
-        let e3 = qi - *r3.add(i);
-        out[0] += e0 * e0;
-        out[1] += e1 * e1;
-        out[2] += e2 * e2;
-        out[3] += e3 * e3;
+        for r in 0..R {
+            let e = qi - *rows[r].add(i);
+            out[r] += e * e;
+        }
         i += 1;
     }
     out
 }
 
-/// Four-row dot product; see [`l2_sq_x4_avx2`].
+/// Dot products of `q` with each of `R` rows; see [`l2_sq_rows`].
 ///
 /// # Safety
 /// Each row pointer must reference at least `q.len()` readable floats.
 #[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn dot_x4_avx2(
-    q: &[f32],
-    r0: *const f32,
-    r1: *const f32,
-    r2: *const f32,
-    r3: *const f32,
-) -> [f32; 4] {
+unsafe fn dot_rows<const R: usize>(q: &[f32], rows: [*const f32; R]) -> [f32; R] {
     let n = q.len();
     let qp = q.as_ptr();
-    let mut a0 = _mm256_setzero_ps();
-    let mut a1 = _mm256_setzero_ps();
-    let mut a2 = _mm256_setzero_ps();
-    let mut a3 = _mm256_setzero_ps();
+    let mut acc = [_mm256_setzero_ps(); R];
     let mut i = 0;
     while i + 8 <= n {
         let qv = _mm256_loadu_ps(qp.add(i));
-        a0 = _mm256_fmadd_ps(qv, _mm256_loadu_ps(r0.add(i)), a0);
-        a1 = _mm256_fmadd_ps(qv, _mm256_loadu_ps(r1.add(i)), a1);
-        a2 = _mm256_fmadd_ps(qv, _mm256_loadu_ps(r2.add(i)), a2);
-        a3 = _mm256_fmadd_ps(qv, _mm256_loadu_ps(r3.add(i)), a3);
+        for r in 0..R {
+            acc[r] = _mm256_fmadd_ps(qv, _mm256_loadu_ps(rows[r].add(i)), acc[r]);
+        }
         i += 8;
     }
-    let mut out = [hsum(a0), hsum(a1), hsum(a2), hsum(a3)];
+    let mut out = [0.0; R];
+    for r in 0..R {
+        out[r] = hsum(acc[r]);
+    }
     while i < n {
         let qi = *qp.add(i);
-        out[0] += qi * *r0.add(i);
-        out[1] += qi * *r1.add(i);
-        out[2] += qi * *r2.add(i);
-        out[3] += qi * *r3.add(i);
+        for r in 0..R {
+            out[r] += qi * *rows[r].add(i);
+        }
         i += 1;
     }
     out
@@ -274,18 +205,20 @@ unsafe fn l2_sq_batch_avx2(q: &[f32], rows: &[f32], dim: usize, out: &mut [f32])
     while r + 4 <= n {
         prefetch(rows, (r + 4) * dim);
         prefetch(rows, (r + 5) * dim);
-        let d = l2_sq_x4_avx2(
+        let d = l2_sq_rows(
             q,
-            base.add(r * dim),
-            base.add((r + 1) * dim),
-            base.add((r + 2) * dim),
-            base.add((r + 3) * dim),
+            [
+                base.add(r * dim),
+                base.add((r + 1) * dim),
+                base.add((r + 2) * dim),
+                base.add((r + 3) * dim),
+            ],
         );
         out[r..r + 4].copy_from_slice(&d);
         r += 4;
     }
     while r < n {
-        out[r] = l2_sq_avx2(q, &rows[r * dim..(r + 1) * dim]);
+        out[r] = l2_sq_rows(q, [base.add(r * dim)])[0];
         r += 1;
     }
 }
@@ -298,18 +231,20 @@ unsafe fn dot_batch_avx2(q: &[f32], rows: &[f32], dim: usize, out: &mut [f32]) {
     while r + 4 <= n {
         prefetch(rows, (r + 4) * dim);
         prefetch(rows, (r + 5) * dim);
-        let d = dot_x4_avx2(
+        let d = dot_rows(
             q,
-            base.add(r * dim),
-            base.add((r + 1) * dim),
-            base.add((r + 2) * dim),
-            base.add((r + 3) * dim),
+            [
+                base.add(r * dim),
+                base.add((r + 1) * dim),
+                base.add((r + 2) * dim),
+                base.add((r + 3) * dim),
+            ],
         );
         out[r..r + 4].copy_from_slice(&d);
         r += 4;
     }
     while r < n {
-        out[r] = dot_avx2(q, &rows[r * dim..(r + 1) * dim]);
+        out[r] = dot_rows(q, [base.add(r * dim)])[0];
         r += 1;
     }
 }

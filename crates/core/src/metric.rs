@@ -110,6 +110,7 @@ impl Metric {
     /// four-row kernels ([`kernel::l2_sq_x4`] / [`kernel::dot_x4`]) that
     /// share one query load across four independent accumulator chains —
     /// the scoring shape of IVF list scans and graph neighbor expansion.
+    /// Results are identical to calling `distance` on each named row.
     pub fn distance_gather(&self, query: &[f32], vectors: &Vectors, ids: &[u32], out: &mut [f32]) {
         debug_assert_eq!(ids.len(), out.len());
         let n = ids.len().min(out.len());

@@ -724,11 +724,13 @@ impl<'a> VarReader<'a> {
     }
 
     fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        if self.pos + n > self.bytes.len() {
-            return Err(Error::Corrupt("text index truncated".into()));
-        }
-        let s = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
+        let end = self
+            .pos
+            .checked_add(n)
+            .filter(|&e| e <= self.bytes.len())
+            .ok_or_else(|| Error::Corrupt("text index truncated".into()))?;
+        let s = &self.bytes[self.pos..end];
+        self.pos = end;
         Ok(s)
     }
 
@@ -945,6 +947,15 @@ mod tests {
             TextIndex::decode(&future),
             Err(Error::Unsupported(_))
         ));
+        // One stopword whose length varint is 2^64 - 3: the end offset
+        // overflows instead of running past the buffer.
+        let mut huge = TEXT_MAGIC.to_vec();
+        huge.push(TEXT_VERSION);
+        put_varint(&mut huge, 1);
+        put_varint(&mut huge, u64::MAX - 2);
+        huge.extend_from_slice(b"abc");
+        assert_eq!(huge.len(), 19);
+        assert!(matches!(TextIndex::decode(&huge), Err(Error::Corrupt(_))));
     }
 
     #[test]

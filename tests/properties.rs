@@ -6,8 +6,10 @@
 //! test draws many random cases from a fixed seed, so failures reproduce
 //! exactly and the suite builds with no network access.
 
+use std::sync::Arc;
 use vdb_core::bitset::BitSet;
 use vdb_core::kernel;
+use vdb_core::linalg::Matrix;
 use vdb_core::metric::Metric;
 use vdb_core::rng::Rng;
 use vdb_core::topk::{top_k_by_sort, Neighbor, TopK};
@@ -67,6 +69,92 @@ fn blocked_kernels_match_scalar() {
         assert!((kernel::dot(&a, &b) - kernel::dot_scalar(&a, &b)).abs() <= 1e-3 * dscale);
         let lscale = kernel::l1_scalar(&a, &b).max(1.0);
         assert!((kernel::l1(&a, &b) - kernel::l1_scalar(&a, &b)).abs() <= 1e-3 * lscale);
+    }
+}
+
+/// Inside one backend every call shape of a kernel reduces in the same
+/// order, so a (query, row) pair gets the same bits from the single-pair,
+/// four-row and batch entries, and from each `Metric` entry point.
+#[test]
+fn call_shapes_agree_bit_for_bit() {
+    let mut rng = Rng::seed_from_u64(0xAB);
+    for set in kernel::kernel_sets() {
+        let pair_shapes = [
+            ("l2_sq", set.l2_sq, set.l2_sq_x4, set.l2_sq_batch),
+            ("dot", set.dot, set.dot_x4, set.dot_batch),
+        ];
+        for dim in 1..=130 {
+            for n in [1usize, 3, 4, 5, 9] {
+                let q = vec_of(&mut rng, dim);
+                let rows = vec_of(&mut rng, n * dim);
+                let row = |i: usize| &rows[(i % n) * dim..(i % n + 1) * dim];
+                let mut batch = vec![0.0; n];
+                for (name, single, x4, batch_fn) in pair_shapes {
+                    batch_fn(&q, &rows, dim, &mut batch);
+                    for (i, got) in batch.iter().enumerate() {
+                        let want = single(&q, row(i)).to_bits();
+                        let ctx = format!("{} {name} d={dim} n={n} row {i}", set.name);
+                        assert_eq!(got.to_bits(), want, "{ctx}: batch");
+                        // Row i in each of the four x4 slots.
+                        for slot in 0..4 {
+                            let r = |k: usize| row(i + (k + 4 - slot) % 4);
+                            let got = x4(&q, r(0), r(1), r(2), r(3))[slot];
+                            assert_eq!(got.to_bits(), want, "{ctx}: x4 slot {slot}");
+                        }
+                    }
+                }
+                let codes: Vec<u8> = (0..n * dim).map(|_| rng.below(256) as u8).collect();
+                let min = vec_of(&mut rng, dim);
+                let step: Vec<f32> = (0..dim).map(|_| rng.f32()).collect();
+                (set.sq8_l2_batch)(&q, &codes, &min, &step, &mut batch);
+                for i in 0..n {
+                    let single = (set.sq8_l2)(&q, &codes[i * dim..(i + 1) * dim], &min, &step);
+                    assert_eq!(
+                        batch[i].to_bits(),
+                        single.to_bits(),
+                        "{} sq8_l2 d={dim} n={n} row {i}",
+                        set.name
+                    );
+                }
+            }
+        }
+    }
+
+    // The Metric entry points over the dispatched kernels.
+    for dim in 1..=130 {
+        let n = 9;
+        let mut data = Vectors::new(dim);
+        for _ in 0..n {
+            data.push(&vec_of(&mut rng, dim)).unwrap();
+        }
+        let q = vec_of(&mut rng, dim);
+        let ids: Vec<u32> = (0..n as u32).rev().collect();
+        let weights: Vec<f32> = (0..dim).map(|_| rng.f32()).collect();
+        let metrics = [
+            Metric::SquaredEuclidean,
+            Metric::Euclidean,
+            Metric::Manhattan,
+            Metric::Chebyshev,
+            Metric::Minkowski(3.0),
+            Metric::InnerProduct,
+            Metric::Cosine,
+            Metric::Hamming,
+            Metric::Mahalanobis(Arc::new(Matrix::identity(dim))),
+            Metric::WeightedL2(Arc::new(weights)),
+        ];
+        for m in metrics {
+            let mut batch = vec![0.0; n];
+            m.distance_batch(&q, data.as_flat(), dim, &mut batch);
+            let mut gathered = vec![0.0; n];
+            m.distance_gather(&q, &data, &ids, &mut gathered);
+            for (i, got) in batch.iter().enumerate() {
+                let want = m.distance(&q, data.get(i)).to_bits();
+                let ctx = format!("{} {} d={dim} row {i}", kernel::dispatch_name(), m.name());
+                assert_eq!(got.to_bits(), want, "{ctx}: distance_batch");
+                let slot = n - 1 - i;
+                assert_eq!(gathered[slot].to_bits(), want, "{ctx}: distance_gather");
+            }
+        }
     }
 }
 
