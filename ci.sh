@@ -66,6 +66,13 @@ echo "== replication: torn-stream sweep, bootstrap convergence, failover drill =
 # above.
 cargo test -q --release -p vdb-storage --test repl_stream_torn
 cargo test -q --release --test replication
+# Format goldens (tests/golden/formats.txt): committed bytes of the WAL,
+# the shipped stream, snapshots, the manifest, the text index, the HNSW
+# image and every sample wire message. A failure means a one-sided format
+# change: an encoder or a decoder no longer matches bytes already on disk
+# or in flight.
+cargo test -q --release --test format_goldens
+cargo test -q --release -p vdb-server --lib sample_messages_match_the_format_goldens
 
 echo "== kernel equivalence with SIMD force-disabled =="
 # kernel_sets() ignores the escape hatch, so the SIMD-vs-scalar checks
