@@ -21,6 +21,8 @@
 //! - [`linalg`] — small dense linear algebra (PCA, rotations, inverses),
 //! - [`bitset`] — blocking bitmasks and O(1)-reset visited sets,
 //! - [`checksum`] — the workspace's one CRC-32 (slice-by-8),
+//! - [`codec`] — the one little-endian byte codec: `put_*` encoders, the
+//!   bounds-checked `Reader`, attribute tags and the CRC frame,
 //! - [`context`] — reusable per-query search scratch (visited set,
 //!   pools, buffers) shared by every index and the batched executor,
 //! - [`parallel`] — scoped-thread fork/join helpers and [`parallel::BuildOptions`]
@@ -41,6 +43,7 @@ pub mod analysis;
 pub mod attr;
 pub mod bitset;
 pub mod checksum;
+pub mod codec;
 pub mod context;
 pub mod dataset;
 pub mod error;

@@ -11,9 +11,7 @@
 //!   with per-query deadlines, global top-k gather with partial-result
 //!   degradation,
 //! - [`manifest`] — the versioned shard → node assignment of a
-//!   replicated deployment, persisted and served over the wire,
-//! - [`wire`] — the length-prefixed, CRC-framed binary transport of
-//!   `vdb-server`'s protocol.
+//!   replicated deployment, served over the wire.
 //!
 //! [`DistributedIndex`] is the in-process scatter-gather. The networked
 //! one is `vdb-server`'s `ClusterClient`, which scatters over the nodes a
@@ -25,7 +23,6 @@
 pub mod cluster;
 pub mod manifest;
 pub mod partition;
-pub mod wire;
 
 pub use cluster::{DistributedConfig, DistributedIndex, IndexBuilder, ScatterOutcome};
 pub use manifest::{ClusterManifest, ShardRoute};

@@ -15,13 +15,12 @@
 //! ships the WAL) and replica addresses (serve reads, apply shipped
 //! records, stand by for promotion).
 //!
-//! The manifest is persisted with the same write-to-temp, fsync, rename,
-//! fsync-directory protocol as the storage layer's snapshots, and is
-//! served over the wire (see `vdb-server`'s `ManifestGet`/`ManifestPut`
-//! opcodes) so a node can join a cluster knowing only one seed address.
+//! The manifest is served over the wire (see `vdb-server`'s
+//! `ManifestGet`/`ManifestPut` opcodes) so a node can join a cluster
+//! knowing only one seed address; it is held in memory, not persisted.
 
-use crate::wire::{self, Reader};
-use std::path::Path;
+use vdb_core::codec::{self, Reader};
+use vdb_core::crc32;
 use vdb_core::error::{Error, Result};
 
 /// Magic prefix of an encoded manifest ("VDBM" + format version 1).
@@ -126,18 +125,18 @@ impl ClusterManifest {
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
         out.extend_from_slice(MAGIC);
-        wire::put_u64(&mut out, self.version);
-        wire::put_str(&mut out, &self.collection);
-        wire::put_u32(&mut out, self.shards.len() as u32);
+        codec::put_u64(&mut out, self.version);
+        codec::put_str(&mut out, &self.collection);
+        codec::put_u32(&mut out, self.shards.len() as u32);
         for route in &self.shards {
-            wire::put_str(&mut out, &route.primary);
-            wire::put_u32(&mut out, route.replicas.len() as u32);
+            codec::put_str(&mut out, &route.primary);
+            codec::put_u32(&mut out, route.replicas.len() as u32);
             for r in &route.replicas {
-                wire::put_str(&mut out, r);
+                codec::put_str(&mut out, r);
             }
         }
-        let crc = wire::crc32(&out[MAGIC.len()..]);
-        wire::put_u32(&mut out, crc);
+        let crc = crc32(&out[MAGIC.len()..]);
+        codec::put_u32(&mut out, crc);
         out
     }
 
@@ -148,21 +147,22 @@ impl ClusterManifest {
         }
         let body = &bytes[MAGIC.len()..bytes.len() - 4];
         let crc = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 bytes"));
-        if wire::crc32(body) != crc {
+        if crc32(body) != crc {
             return Err(Error::Corrupt("manifest checksum mismatch".into()));
         }
         let mut r = Reader::new(body);
         let version = r.u64()?;
         let collection = r.str()?;
-        let n = r.u32()? as usize;
-        if n == 0 || n > 1 << 20 {
-            return Err(Error::Corrupt(format!("manifest shard count {n}")));
+        // A route is a primary's length prefix and a replica count.
+        let n = r.u32_count(8)?;
+        if n == 0 {
+            return Err(Error::Corrupt("manifest has no shards".into()));
         }
         let mut shards = Vec::with_capacity(n);
         for _ in 0..n {
             let primary = r.str()?;
-            let nr = r.u32()? as usize;
-            let mut replicas = Vec::with_capacity(nr.min(64));
+            let nr = r.u32_count(4)?;
+            let mut replicas = Vec::with_capacity(nr);
             for _ in 0..nr {
                 replicas.push(r.str()?);
             }
@@ -174,39 +174,6 @@ impl ClusterManifest {
             collection,
             shards,
         })
-    }
-
-    /// Atomically persist the manifest at `path` (write-to-temp, fsync,
-    /// rename, fsync-directory), so a node restart resumes from the last
-    /// assignment it had adopted.
-    pub fn persist(&self, path: &Path) -> Result<()> {
-        let file_name = path
-            .file_name()
-            .and_then(|n| n.to_str())
-            .ok_or_else(|| Error::InvalidParameter("manifest path has no file name".into()))?;
-        let tmp = path.with_file_name(format!("{file_name}.tmp"));
-        {
-            let mut f = std::fs::File::create(&tmp)?;
-            std::io::Write::write_all(&mut f, &self.encode())?;
-            f.sync_all()?;
-        }
-        std::fs::rename(&tmp, path)?;
-        if let Some(dir) = path.parent() {
-            // Fsync the directory so the rename itself survives a crash.
-            if let Ok(d) = std::fs::File::open(dir) {
-                d.sync_all()?;
-            }
-        }
-        Ok(())
-    }
-
-    /// Load a persisted manifest; `Ok(None)` if the file does not exist.
-    pub fn load(path: &Path) -> Result<Option<Self>> {
-        match std::fs::read(path) {
-            Ok(bytes) => Self::decode(&bytes).map(Some),
-            Err(e) if e.kind() == std::io::ErrorKind::NotFound => Ok(None),
-            Err(e) => Err(e.into()),
-        }
     }
 }
 
@@ -267,17 +234,5 @@ mod tests {
         assert!(!local.adopt(&remote).unwrap(), "re-publication idempotent");
         let other = ClusterManifest::new("other", 1, &["x:0".into()]).unwrap();
         assert!(local.adopt(&other).is_err());
-    }
-
-    #[test]
-    fn persist_and_load() {
-        let dir = std::env::temp_dir().join(format!("vdb-manifest-{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let path = dir.join("cluster.manifest");
-        let m = sample();
-        m.persist(&path).unwrap();
-        assert_eq!(ClusterManifest::load(&path).unwrap().unwrap(), m);
-        assert!(ClusterManifest::load(&dir.join("nope")).unwrap().is_none());
-        std::fs::remove_dir_all(&dir).ok();
     }
 }

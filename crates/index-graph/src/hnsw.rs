@@ -14,6 +14,7 @@ use crate::graph::{
     AdjacencyList,
 };
 use std::ops::Range;
+use vdb_core::codec::{self, Reader};
 use vdb_core::context::SearchContext;
 use vdb_core::error::{Error, Result};
 use vdb_core::index::{
@@ -24,7 +25,6 @@ use vdb_core::parallel::BuildOptions;
 use vdb_core::rng::Rng;
 use vdb_core::topk::Neighbor;
 use vdb_core::vector::Vectors;
-use vdb_storage::codec::{self, Reader};
 
 /// Build-time configuration.
 #[derive(Debug, Clone)]

@@ -27,6 +27,7 @@
 
 use std::collections::btree_map::Entry;
 use std::collections::BTreeMap;
+use vdb_core::codec::{put_varint, Reader};
 use vdb_core::error::{Error, Result};
 
 /// BM25 term-frequency saturation parameter.
@@ -378,7 +379,7 @@ impl TextIndex {
         out.push(TEXT_VERSION);
         put_varint(&mut out, self.stopwords.len() as u64);
         for w in &self.stopwords {
-            put_str(&mut out, w);
+            put_term(&mut out, w);
         }
         put_varint(&mut out, self.doc_lens.len() as u64);
         for &dl in &self.doc_lens {
@@ -386,7 +387,7 @@ impl TextIndex {
         }
         put_varint(&mut out, self.terms.len() as u64);
         for (term, p) in &self.terms {
-            put_str(&mut out, term);
+            put_term(&mut out, term);
             put_varint(&mut out, p.df);
             put_varint(&mut out, p.bytes.len() as u64);
             out.extend_from_slice(&p.bytes);
@@ -417,29 +418,29 @@ impl TextIndex {
                 bytes[4]
             )));
         }
-        let mut r = VarReader::new(&bytes[5..]);
-        let n_stop = r.varint()? as usize;
-        let mut stopwords = Vec::with_capacity(n_stop.min(1 << 16));
+        let mut r = Reader::new(&bytes[5..]);
+        let n_stop = read_count(&mut r)?;
+        let mut stopwords = Vec::with_capacity(n_stop);
         for _ in 0..n_stop {
-            stopwords.push(r.string()?);
+            stopwords.push(read_term(&mut r)?);
         }
-        let n_docs = r.varint()? as usize;
-        let mut doc_lens = Vec::with_capacity(n_docs.min(1 << 24));
+        let n_docs = read_count(&mut r)?;
+        let mut doc_lens = Vec::with_capacity(n_docs);
         let mut total_len = 0u64;
         for _ in 0..n_docs {
             let dl = r.varint()? as u32;
             total_len += dl as u64;
             doc_lens.push(dl);
         }
-        let n_terms = r.varint()? as usize;
+        let n_terms = read_count(&mut r)?;
         let mut terms = BTreeMap::new();
         for _ in 0..n_terms {
-            let term = r.string()?;
+            let term = read_term(&mut r)?;
             let df = r.varint()?;
-            let blen = r.varint()? as usize;
+            let blen = read_count(&mut r)?;
             let bytes = r.take(blen)?.to_vec();
-            let n_blocks = r.varint()? as usize;
-            let mut blocks = Vec::with_capacity(n_blocks.min(1 << 20));
+            let n_blocks = read_count(&mut r)?;
+            let mut blocks = Vec::with_capacity(n_blocks);
             for _ in 0..n_blocks {
                 blocks.push(Block {
                     first_doc: r.varint()? as u32,
@@ -654,23 +655,23 @@ impl<'a> TermCursor<'a> {
 }
 
 // ---------------------------------------------------------------------
-// varint codec (LEB128, unsigned)
+// serialized form: varint counts and varint-length-prefixed terms
 
-fn put_varint(out: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let b = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            out.push(b);
-            return;
-        }
-        out.push(b | 0x80);
-    }
+/// A varint element count, checked by the count rule (every element takes
+/// at least one byte).
+fn read_count(r: &mut Reader<'_>) -> Result<usize> {
+    let n = r.varint()?;
+    r.count(n, 1)
 }
 
-fn put_str(out: &mut Vec<u8>, s: &str) {
+fn put_term(out: &mut Vec<u8>, s: &str) {
     put_varint(out, s.len() as u64);
     out.extend_from_slice(s.as_bytes());
+}
+
+fn read_term(r: &mut Reader<'_>) -> Result<String> {
+    let len = read_count(r)?;
+    r.utf8(len)
 }
 
 /// Decode a varint from a trusted in-memory postings stream.
@@ -685,59 +686,6 @@ fn read_varint(bytes: &[u8], pos: &mut usize) -> u64 {
             return v;
         }
         shift += 7;
-    }
-}
-
-/// Checked reader for untrusted serialized bytes.
-struct VarReader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> VarReader<'a> {
-    fn new(bytes: &'a [u8]) -> Self {
-        VarReader { bytes, pos: 0 }
-    }
-
-    fn is_empty(&self) -> bool {
-        self.pos >= self.bytes.len()
-    }
-
-    fn varint(&mut self) -> Result<u64> {
-        let mut v = 0u64;
-        let mut shift = 0u32;
-        loop {
-            let b = *self
-                .bytes
-                .get(self.pos)
-                .ok_or_else(|| Error::Corrupt("text index truncated".into()))?;
-            self.pos += 1;
-            if shift >= 64 {
-                return Err(Error::Corrupt("text index varint overflow".into()));
-            }
-            v |= ((b & 0x7f) as u64) << shift;
-            if b & 0x80 == 0 {
-                return Ok(v);
-            }
-            shift += 7;
-        }
-    }
-
-    fn take(&mut self, n: usize) -> Result<&'a [u8]> {
-        let end = self
-            .pos
-            .checked_add(n)
-            .filter(|&e| e <= self.bytes.len())
-            .ok_or_else(|| Error::Corrupt("text index truncated".into()))?;
-        let s = &self.bytes[self.pos..end];
-        self.pos = end;
-        Ok(s)
-    }
-
-    fn string(&mut self) -> Result<String> {
-        let n = self.varint()? as usize;
-        let s = self.take(n)?;
-        String::from_utf8(s.to_vec()).map_err(|_| Error::Corrupt("text index bad utf8".into()))
     }
 }
 

@@ -13,6 +13,7 @@
 use crate::protocol::{
     FusedHit, ReplicaPayload, Request, Response, ServerStatsSnapshot, WireCollectionStats,
 };
+use crate::wire;
 use std::io::ErrorKind;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::time::Duration;
@@ -24,7 +25,6 @@ use vdb_core::attr::AttrValue;
 use vdb_core::error::{Error, Result};
 use vdb_core::index::SearchParams;
 use vdb_core::sync::Mutex;
-use vdb_distributed::wire;
 use vdb_distributed::ClusterManifest;
 
 /// Client-side transport knobs.

@@ -1,10 +1,11 @@
 //! Network serving layer for vectordb-rs.
 //!
 //! Everything here is `std`-only: the transport is the length-prefixed,
-//! CRC-framed binary protocol of [`vdb_distributed::wire`], carried over
-//! `std::net` TCP. The crate is unix-only: its connection core polls
+//! CRC-framed binary protocol of [`wire`], carried over `std::net` TCP. The crate is unix-only: its connection core polls
 //! sockets with `poll(2)` and wakes itself over a `UnixStream` pair.
 //!
+//! - [`wire`] — the frame: a magic word, then one `vdb_core::codec`
+//!   CRC frame around the message.
 //! - [`protocol`] — typed [`Request`]/[`Response`] messages and their
 //!   wire codec (one opcode byte + little-endian body per frame).
 //! - [`net`] — dependency-free readiness polling: a `poll(2)` shim and
@@ -63,6 +64,7 @@ pub mod net;
 pub mod protocol;
 pub mod replication;
 pub mod server;
+pub mod wire;
 
 pub use client::{Client, ClientConfig};
 pub use cluster::ClusterClient;

@@ -42,6 +42,7 @@ use crate::protocol::{
     WireCollectionStats, WireReplLink,
 };
 use crate::replication::Replicator;
+use crate::wire;
 use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -52,7 +53,6 @@ use std::time::{Duration, Instant};
 use vdb::{CollectionSchema, HybridResult, IndexSpec, Predicate, SearchHit, Vdbms, VqlOutput};
 use vdb_core::error::{Error, Result};
 use vdb_core::index::SearchParams;
-use vdb_distributed::wire;
 use vdb_distributed::ClusterManifest;
 
 /// A per-collection token-bucket rate limit: sustained `per_sec`
@@ -1143,8 +1143,6 @@ mod event_loop {
     /// Stop reading a connection whose unflushed responses exceed this
     /// (a slow reader must not buffer the server into the ground).
     const WRITE_HIGH_WATER: usize = 1 << 20;
-    /// Frame header: magic (4) + payload length (4) + CRC32 (4).
-    const HEADER: usize = 12;
 
     /// One connection's state machine.
     struct Conn {
@@ -1508,35 +1506,18 @@ mod event_loop {
     fn parse_frames(shared: &Shared, conn: &mut Conn) {
         let mut consumed = 0usize;
         loop {
-            let buf = &conn.read_buf[consumed..];
-            if buf.len() < HEADER {
-                break;
-            }
-            let magic = u32::from_le_bytes([buf[0], buf[1], buf[2], buf[3]]);
-            let len = u32::from_le_bytes([buf[4], buf[5], buf[6], buf[7]]);
-            let crc = u32::from_le_bytes([buf[8], buf[9], buf[10], buf[11]]);
-            if magic != wire::MAGIC {
-                frame_error(shared, conn, "bad frame magic".into());
-                break;
-            }
-            if len > shared.cfg.max_frame {
-                frame_error(
-                    shared,
-                    conn,
-                    format!("frame length {len} exceeds cap {}", shared.cfg.max_frame),
-                );
-                break;
-            }
-            if buf.len() < HEADER + len as usize {
-                break; // partial frame; wait for more bytes
-            }
-            let payload = &buf[HEADER..HEADER + len as usize];
-            if wire::crc32(payload) != crc {
-                frame_error(shared, conn, "frame CRC mismatch".into());
-                break;
-            }
-            let request = Request::decode(payload);
-            consumed += HEADER + len as usize;
+            let request = match wire::split_frame(&conn.read_buf[consumed..], shared.cfg.max_frame)
+            {
+                Ok(Some((payload, len))) => {
+                    consumed += len;
+                    Request::decode(payload)
+                }
+                Ok(None) => break, // partial frame; wait for more bytes
+                Err(e) => {
+                    frame_error(shared, conn, e.to_string());
+                    break;
+                }
+            };
             match request {
                 Ok(req) => handle_request(shared, conn, req),
                 Err(e) => {

@@ -14,7 +14,7 @@ use vdb_core::attr::AttrValue;
 use vdb_core::error::Error;
 use vdb_core::index::SearchParams;
 use vdb_core::metric::Metric;
-use vdb_distributed::wire;
+use vdb_server::wire;
 use vdb_server::{serve, ErrorCode, Request, Response, ServerConfig};
 
 fn sample_requests() -> Vec<Request> {

@@ -27,7 +27,6 @@
 #![allow(clippy::manual_checked_ops)] // branch selects record layout, not a guard
 
 pub mod cache;
-pub mod codec;
 pub mod column;
 pub mod failpoint;
 pub mod file;

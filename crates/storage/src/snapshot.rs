@@ -11,7 +11,7 @@
 //!
 //! ```text
 //! "VDBSNAP1"                                    8-byte magic
-//! [tag u8][len u32][crc32 u32][payload]         CRC-framed sections:
+//! [tag u8][frame]                               tagged sections:
 //!   1 META    fingerprint, dim, rows, #columns
 //!   2 KEYS    row keys (u64 × rows)
 //!   3 VECTORS row-major f32 × rows × dim
@@ -26,7 +26,8 @@
 //! from the rows. A snapshot without them is byte-identical to the
 //! format that predates them, so every older `.snap` still loads.
 //!
-//! Sections reuse the WAL's [`crc32`] framing. A snapshot is only ever
+//! Each section is a tag byte and one `vdb_core::codec` frame (length,
+//! CRC-32, payload), the framing the WAL uses. A snapshot is only ever
 //! observed complete: [`write`] builds `<name>.tmp` in the same
 //! directory, fsyncs it, renames it over the target, and fsyncs the
 //! directory — a crash at any point leaves either the old snapshot or
@@ -38,13 +39,12 @@
 //! Every durable step passes through a [`crate::failpoint`] crash point,
 //! which is how the crash-fault-injection harness sweeps this protocol.
 
-use crate::codec::{self, Reader};
 use crate::failpoint;
 use crate::file::sync_dir;
-use crate::wal::crc32;
 use std::fs::{File, OpenOptions};
 use std::path::Path;
 use vdb_core::attr::{AttrType, AttrValue};
+use vdb_core::codec::{self, Reader};
 use vdb_core::error::{Error, Result};
 use vdb_core::vector::Vectors;
 
@@ -124,21 +124,14 @@ impl From<Snapshot> for Checkpoint {
     }
 }
 
-fn section_head(tag: u8, payload: &[u8]) -> [u8; 9] {
-    let mut head = [0u8; 9];
-    head[0] = tag;
-    head[1..5].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-    head[5..9].copy_from_slice(&crc32(payload).to_le_bytes());
-    head
-}
-
 fn put_section(out: &mut Vec<u8>, tag: u8, payload: &[u8]) {
-    out.extend_from_slice(&section_head(tag, payload));
-    out.extend_from_slice(payload);
+    out.push(tag);
+    codec::put_frame(out, payload);
 }
 
 fn write_section(file: &mut File, tag: u8, payload: &[u8], site: &'static str) -> Result<()> {
-    failpoint::write_parts_torn(file, &[&section_head(tag, payload), payload], site)
+    let head = codec::frame_header(payload);
+    failpoint::write_parts_torn(file, &[&[tag], &head, payload], site)
 }
 
 fn meta_payload(snap: &Snapshot) -> Vec<u8> {
@@ -160,8 +153,8 @@ fn keys_payload(snap: &Snapshot) -> Vec<u8> {
 
 fn vectors_payload(snap: &Snapshot) -> Vec<u8> {
     let mut vecs = Vec::with_capacity(snap.vectors.as_flat().len() * 4);
-    for x in snap.vectors.as_flat() {
-        vecs.extend_from_slice(&x.to_le_bytes());
+    for &x in snap.vectors.as_flat() {
+        codec::put_f32(&mut vecs, x);
     }
     vecs
 }
@@ -169,7 +162,7 @@ fn vectors_payload(snap: &Snapshot) -> Vec<u8> {
 fn column_payload(col: &SnapshotColumn) -> Vec<u8> {
     let mut payload = Vec::new();
     codec::put_str(&mut payload, &col.name);
-    payload.push(codec::attr_type_tag(col.ty));
+    codec::put_u8(&mut payload, codec::attr_type_tag(col.ty));
     for v in &col.values {
         codec::put_attr(&mut payload, v);
     }
@@ -322,7 +315,7 @@ pub fn decode(bytes: &[u8]) -> Result<Checkpoint> {
 
     let mut fingerprint = None;
     let mut dim = 0usize;
-    let mut rows = 0usize;
+    let mut rows = 0u64;
     let mut ncols = 0usize;
     let mut row_keys: Option<Vec<u64>> = None;
     let mut vectors: Option<Vectors> = None;
@@ -333,47 +326,41 @@ pub fn decode(bytes: &[u8]) -> Result<Checkpoint> {
 
     while !r.is_empty() {
         let tag = r.u8()?;
-        let len = r.u32()? as usize;
-        let crc = r.u32()?;
-        let payload = r.take(len)?;
-        if crc32(payload) != crc {
-            return Err(corrupt("section checksum mismatch"));
-        }
+        let payload = r
+            .frame(u32::MAX)?
+            .ok_or_else(|| corrupt("ends inside a section"))?;
         let mut p = Reader::new(payload);
         match tag {
             SEC_META => {
-                fingerprint = Some(p.string()?);
+                fingerprint = Some(p.str()?);
                 dim = p.u32()? as usize;
-                rows = p.u64()? as usize;
+                rows = p.u64()?;
                 ncols = p.u32()? as usize;
             }
             SEC_KEYS => {
-                let mut keys = Vec::with_capacity(rows);
-                for _ in 0..rows {
-                    keys.push(p.u64()?);
-                }
-                if !p.is_empty() {
-                    return Err(corrupt("keys section has trailing bytes"));
-                }
-                row_keys = Some(keys);
+                // META's row count is untrusted: every count below passes
+                // the count rule against its own section first.
+                let n = p.count(rows, 8)?;
+                row_keys = Some(p.u64s(n)?);
+                p.finish()?;
             }
             SEC_VECTORS => {
-                let flat = p.f32s(rows * dim)?;
-                if !p.is_empty() {
-                    return Err(corrupt("vectors section has trailing bytes"));
-                }
-                vectors = Some(Vectors::from_flat(dim.max(1), flat)?);
+                let n = rows
+                    .checked_mul(dim as u64)
+                    .ok_or_else(|| corrupt("has more vector components than fit in memory"))?;
+                let n = p.count(n, 4)?;
+                vectors = Some(Vectors::from_flat(dim.max(1), p.f32s(n)?)?);
+                p.finish()?;
             }
             SEC_COLUMN => {
-                let name = p.string()?;
+                let name = p.str()?;
                 let ty = codec::attr_type_from_tag(p.u8()?)?;
-                let mut values = Vec::with_capacity(rows);
-                for _ in 0..rows {
+                let n = p.count(rows, 1)?;
+                let mut values = Vec::with_capacity(n);
+                for _ in 0..n {
                     values.push(p.attr()?);
                 }
-                if !p.is_empty() {
-                    return Err(corrupt("column section has trailing bytes"));
-                }
+                p.finish()?;
                 columns.push(SnapshotColumn { name, ty, values });
             }
             SEC_TEXT => {
@@ -543,6 +530,43 @@ mod tests {
         write(&path, &bare.snapshot).unwrap();
         assert_eq!(std::fs::read(&path).unwrap(), without);
         assert!(load(&path).index.is_none());
+    }
+
+    #[test]
+    fn forged_meta_counts_are_corrupt_before_allocating() {
+        // A CRC-valid snapshot whose META promises `rows` rows of four
+        // components and `ncols` columns, then the given empty sections.
+        let forged = |rows: u64, ncols: u32, tags: &[u8]| {
+            let mut meta = Vec::new();
+            codec::put_str(&mut meta, "");
+            codec::put_u32(&mut meta, 4);
+            codec::put_u64(&mut meta, rows);
+            codec::put_u32(&mut meta, ncols);
+            let mut out = MAGIC.to_vec();
+            put_section(&mut out, SEC_META, &meta);
+            for &tag in tags {
+                let mut body = Vec::new();
+                if tag == SEC_COLUMN {
+                    codec::put_str(&mut body, "c");
+                    codec::put_u8(&mut body, codec::attr_type_tag(AttrType::Int));
+                }
+                put_section(&mut out, tag, &body);
+            }
+            put_section(&mut out, SEC_END, &[]);
+            decode(&out)
+        };
+        assert!(forged(0, 0, &[SEC_KEYS, SEC_VECTORS]).is_ok());
+        for rows in [1 << 40, 1 << 62, u64::MAX] {
+            for tag in [SEC_KEYS, SEC_VECTORS, SEC_COLUMN] {
+                let res = forged(rows, 0, &[tag]);
+                assert!(
+                    matches!(res, Err(Error::Corrupt(_))),
+                    "rows {rows}, section {tag}"
+                );
+            }
+        }
+        let res = forged(0, u32::MAX, &[SEC_KEYS, SEC_VECTORS]);
+        assert!(matches!(res, Err(Error::Corrupt(_))), "column count");
     }
 
     #[test]

@@ -85,7 +85,7 @@ fn overload_sheds_busy_and_admitted_requests_coalesce() {
     };
     let call_raw = move |req: Request| -> Response {
         use std::net::TcpStream;
-        use vdb_distributed::wire;
+        use vdb_server::wire;
         let mut conn = TcpStream::connect_timeout(&addr, Duration::from_secs(1)).unwrap();
         conn.set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
@@ -206,7 +206,7 @@ fn vql_roundtrips_over_the_wire() {
 /// the pooled [`Client`].
 fn call_raw(addr: std::net::SocketAddr, req: Request) -> Response {
     use std::net::TcpStream;
-    use vdb_distributed::wire;
+    use vdb_server::wire;
     let mut conn = TcpStream::connect_timeout(&addr, Duration::from_secs(1)).unwrap();
     conn.set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
