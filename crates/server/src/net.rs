@@ -211,11 +211,13 @@ mod tests {
             start.elapsed() < Duration::from_secs(2),
             "wake must interrupt the poll, not wait out the timeout"
         );
+        // The poll can return after the first wake: join the waker so
+        // the second wake has landed before the drain.
+        t.join().unwrap();
         rx.drain();
         // Drained: the next poll with no wake times out.
         let mut fds = [PollFd::new(rx.fd(), POLLIN)];
         let n = poll(&mut fds, Duration::from_millis(20)).unwrap();
         assert_eq!(n, 0, "drained waker must not stay readable");
-        t.join().unwrap();
     }
 }
