@@ -347,7 +347,7 @@ pub fn h1_text_fusion(scale: Scale) -> Result<()> {
             let text = words.join(" ");
             col.insert(i as u64, v, &[("text", AttrValue::Str(text))])?;
         }
-        // Fold the tail of the LSM buffer into the main segment so the
+        // Fold the tail of the update buffer into the main segment so the
         // measurement sees steady-state (indexed) serving, not the
         // brute-force buffer scan.
         col.merge()?;

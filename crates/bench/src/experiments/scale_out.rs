@@ -87,14 +87,14 @@ pub fn f5_distributed(scale: Scale) -> Result<()> {
     Ok(())
 }
 
-/// F6: streaming ingest — LSM-buffered updates vs rebuild-per-batch.
+/// F6: streaming ingest — buffered out-of-place updates vs rebuild-per-batch.
 pub fn f6_out_of_place_updates(scale: Scale) -> Result<()> {
     let w = standard(scale, 0xF6);
     let n = w.data.len();
     let batch = n / 10;
     let params = SearchParams::default().with_beam_width(64);
 
-    // Strategy A: out-of-place (LSM buffer, merge every `merge_threshold`).
+    // Strategy A: out-of-place (update buffer, merge every `merge_threshold`).
     let mut rows = Vec::new();
     let mut c = Collection::create(
         CollectionSchema::new("f6", w.data.dim(), Metric::Euclidean),

@@ -316,7 +316,7 @@ pub trait VectorIndex: Send + Sync {
 
 /// The mutable capability (§2.3 in-place updates): insertion plus
 /// removal. Static graph/tree indexes are updated out-of-place via the
-/// LSM path instead (§2.3 out-of-place updates). Removal is
+/// update-buffer path instead (§2.3 out-of-place updates). Removal is
 /// tombstone-based — the row id stays allocated (so ids remain stable
 /// and aligned with the owner's row storage) but the row stops
 /// surfacing in search results; graph indexes additionally

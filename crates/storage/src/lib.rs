@@ -11,7 +11,6 @@
 //! - [`column`] — typed, nullable attribute columns with a cached summary
 //!   (exact statistics, numeric rows in value order) for selectivity
 //!   estimation and range filters (§2.1 hybrid queries),
-//! - [`lsm`] — LSM-style out-of-place update buffer (§2.3(3)),
 //! - [`wal`] — checksummed write-ahead log with torn-tail-tolerant replay,
 //! - [`snapshot`] — atomic write-then-rename checkpoints of merged
 //!   collection state (vectors, keys, attributes, index fingerprint),
@@ -30,7 +29,6 @@ pub mod cache;
 pub mod column;
 pub mod failpoint;
 pub mod file;
-pub mod lsm;
 pub mod page;
 pub mod snapshot;
 pub mod wal;
@@ -38,7 +36,6 @@ pub mod wal;
 pub use cache::{global_cache_stats, CacheStats, PageCache};
 pub use column::{AttributeStore, Column, ColumnStats};
 pub use file::{PagedFile, TempDir};
-pub use lsm::{KeyedNeighbor, LsmConfig, LsmStore};
 pub use page::{Page, PageId, PAGE_SIZE};
 pub use snapshot::{Checkpoint, Snapshot, SnapshotColumn};
 pub use wal::{crc32, decode_shipped, ship_record, ShippedRecord, Wal, WalRecord};

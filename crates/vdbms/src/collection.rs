@@ -1,12 +1,15 @@
 //! Collections: schema-validated vectors + attributes + a main index +
 //! an out-of-place update buffer (§2.3(3)), with **online maintenance**.
 //!
-//! Writes land in a WAL (durability) and an LSM-style buffer (searchable
-//! immediately); the data-dependent main index is folded in bulk when the
-//! buffer crosses a threshold — the "apply updates in bulk at a more
-//! appropriate time" pattern of AnalyticDB-V/Vald, with Milvus-style
-//! LSM buffering. Reads merge both parts with newest-version-wins and
-//! tombstone semantics, so callers always observe their own writes.
+//! Writes land in a WAL (durability) and the update buffer (searchable
+//! immediately: one row per key holding its newest vector and
+//! attributes, plus tombstones); the data-dependent main index is folded
+//! in bulk when the buffer crosses a threshold — the "apply updates in
+//! bulk at a more appropriate time" pattern of AnalyticDB-V/Vald. Reads
+//! overlay the buffer on the main index — a buffered row or tombstone
+//! hides the key's main row — so callers always observe their own writes.
+//! A merge retires exactly the buffered writes it folded in, so a write
+//! that lands during a background merge survives it.
 //!
 //! Three maintenance modes ([`MergeMode`]):
 //!
@@ -35,6 +38,7 @@
 //! ([`VectorIndex::image`]) when the family has one, so recovery loads
 //! the served graph instead of rebuilding it.
 
+use crate::buffer::Buffer;
 use crate::indexspec::IndexSpec;
 use crate::schema::CollectionSchema;
 use std::collections::{BTreeMap, HashMap, HashSet};
@@ -57,8 +61,8 @@ use vdb_query::{
     Strategy, TextIndex, VectorQuery, DEFAULT_STOPWORDS,
 };
 use vdb_storage::{
-    decode_shipped, ship_record, snapshot, AttributeStore, Checkpoint, Column, LsmConfig, LsmStore,
-    Snapshot, SnapshotColumn, Wal, WalRecord,
+    decode_shipped, ship_record, snapshot, AttributeStore, Checkpoint, Column, Snapshot,
+    SnapshotColumn, Wal, WalRecord,
 };
 
 /// Primary-side replication hook: called under the write lock with each
@@ -271,12 +275,11 @@ impl Main {
     }
 }
 
-/// The write-side state: buffer, pending attributes, WAL handle, and the
-/// count of main rows hidden by newer buffered versions. One mutex —
-/// every acknowledged write holds it across WAL append + buffer insert.
+/// The write-side state: update buffer, WAL handle, and the count of
+/// main rows hidden by newer buffered versions. One mutex — every
+/// acknowledged write holds it across WAL append + buffer insert.
 struct Pending {
-    buffer: LsmStore,
-    buffer_attrs: HashMap<u64, Vec<(String, AttrValue)>>,
+    buffer: Buffer,
     wal: Option<Wal>,
     /// Main-part rows hidden by the buffer (tombstoned or shadowed by a
     /// newer buffered version), maintained incrementally so `len()` and
@@ -342,14 +345,7 @@ impl Collection {
         for (name, ty) in &schema.columns {
             attrs.add_column(Column::new(name.clone(), *ty))?;
         }
-        let buffer = LsmStore::new(
-            schema.dim,
-            schema.metric.clone(),
-            LsmConfig {
-                memtable_capacity: cfg.merge_threshold.max(16),
-                max_segments: 8,
-            },
-        );
+        let buffer = Buffer::new(schema.dim);
         let planner = Planner::new(cfg.planner);
         let main = Main {
             vectors: Vectors::new(schema.dim),
@@ -368,7 +364,6 @@ impl Collection {
             main: Published::new(main),
             pending: Mutex::new(Pending {
                 buffer,
-                buffer_attrs: HashMap::new(),
                 wal: None,
                 shadowed: 0,
                 lsn: 0,
@@ -554,7 +549,7 @@ impl Collection {
                 .iter()
                 .enumerate()
                 .filter(|&(row, &k)| m.key_to_row.get(&k) == Some(&row))
-                .filter(|&(_, &k)| p.buffer.is_deleted(k) || p.buffer.contains(k))
+                .filter(|&(_, &k)| p.buffer.hides(k))
                 .count(),
             "incremental shadowed count diverged from a full rescan"
         );
@@ -647,17 +642,10 @@ impl Collection {
                 wal.append(record.as_ref().expect("built when wal present"))?;
                 wal.sync()?;
             }
-            let newly_shadowed = {
-                let m = inner.main.read();
-                m.key_to_row.contains_key(&key)
-                    && !p.buffer.is_deleted(key)
-                    && !p.buffer.contains(key)
-            };
-            if newly_shadowed {
+            if !p.buffer.hides(key) && inner.main.read().key_to_row.contains_key(&key) {
                 p.shadowed += 1;
             }
-            p.buffer.insert(key, vector)?;
-            p.buffer_attrs.insert(key, owned_attrs);
+            p.buffer.put(key, vector.to_vec(), owned_attrs);
             p.lsn += 1;
             if let Some(sink) = sink {
                 // Ship after the local apply, before the ack: an error
@@ -692,15 +680,10 @@ impl Collection {
             wal.append(&WalRecord::Delete { key })?;
             wal.sync()?;
         }
-        let newly_shadowed = {
-            let m = inner.main.read();
-            m.key_to_row.contains_key(&key) && !p.buffer.is_deleted(key) && !p.buffer.contains(key)
-        };
-        if newly_shadowed {
+        if !p.buffer.hides(key) && inner.main.read().key_to_row.contains_key(&key) {
             p.shadowed += 1;
         }
         p.buffer.delete(key);
-        p.buffer_attrs.remove(&key);
         p.lsn += 1;
         if let Some(sink) = sink {
             let mut frame = Vec::new();
@@ -719,17 +702,13 @@ impl Collection {
         if p.buffer.is_deleted(key) {
             return None;
         }
-        if p.buffer.contains(key) {
-            let pending = p.buffer_attrs.get(&key);
+        if let Some(row) = p.buffer.get(key) {
             return Some(
                 schema
                     .columns
                     .iter()
                     .map(|(name, _)| {
-                        let v = pending
-                            .and_then(|vals| vals.iter().find(|(n, _)| n == name))
-                            .map(|(_, v)| v.clone())
-                            .unwrap_or(AttrValue::Null);
+                        let v = row.attr(name).cloned().unwrap_or(AttrValue::Null);
                         (name.clone(), v)
                     })
                     .collect(),
@@ -766,9 +745,9 @@ impl Collection {
             .enumerate()
             .filter(|&(row, &k)| m.key_to_row.get(&k) == Some(&row))
             .map(|(_, &k)| k)
-            .filter(|&k| !p.buffer.is_deleted(k) && !p.buffer.contains(k))
+            .filter(|&k| !p.buffer.hides(k))
             .collect();
-        out.extend(p.buffer.live_keys());
+        out.extend(p.buffer.keys());
         out.sort_unstable();
         out
     }
@@ -779,8 +758,8 @@ impl Collection {
         if p.buffer.is_deleted(key) {
             return None;
         }
-        if let Some(v) = p.buffer.get(key) {
-            return Some(v.to_vec());
+        if let Some(row) = p.buffer.get(key) {
+            return Some(row.vector.clone());
         }
         let m = self.inner.main.read();
         m.key_to_row
@@ -889,7 +868,7 @@ impl Collection {
         let p = self.inner.pending.lock();
         let m = self.inner.main.read();
         let snap_bytes = snapshot::encode(&self.inner.snapshot_of_main(&m)?)?;
-        let tail = wal_tail_of(&p.buffer, &p.buffer_attrs);
+        let tail = p.buffer.wal_tail();
         let mut tail_stream = Vec::new();
         for (i, rec) in tail.iter().enumerate() {
             ship_record(&mut tail_stream, i as u64 + 1, rec);
@@ -923,16 +902,7 @@ impl Collection {
         // will install wholesale, nor ship them back out).
         let (wal, sink) = {
             let mut p = self.inner.pending.lock();
-            let schema = &self.inner.schema;
-            p.buffer = LsmStore::new(
-                schema.dim,
-                schema.metric.clone(),
-                LsmConfig {
-                    memtable_capacity: self.inner.cfg.merge_threshold.max(16),
-                    max_segments: 8,
-                },
-            );
-            p.buffer_attrs.clear();
+            p.buffer = Buffer::new(self.inner.schema.dim);
             p.shadowed = 0;
             p.lsn = 0;
             (p.wal.take(), self.inner.repl.lock().take())
@@ -1051,33 +1021,19 @@ impl Collection {
         if k == 0 {
             return Ok(Vec::new());
         }
-        let mut hits: Vec<SearchHit> = Vec::new();
-
-        // Buffer part: brute force with predicate over pending attributes.
-        // Score every live buffered row (the buffer is bounded) so a
-        // selective predicate cannot starve the result.
+        // Buffer part: brute force with the predicate over the buffered
+        // attributes. Score every live buffered row (the buffer is
+        // bounded) so a selective predicate cannot starve the result.
         let p = self.inner.pending.lock();
-        for hit in p.buffer.search(vector, p.buffer.len().max(k))? {
-            let passes = predicate.eval_values(&|col: &str| {
-                p.buffer_attrs
-                    .get(&hit.key)
-                    .and_then(|vals| vals.iter().find(|(n, _)| n == col))
-                    .map(|(_, v)| v.clone())
-            });
-            if passes {
-                hits.push(SearchHit {
-                    key: hit.key,
-                    dist: hit.dist,
-                });
-            }
-        }
-        let hidden: HashSet<u64> = p
-            .buffer
-            .live_keys()
-            .into_iter()
-            .chain(p.buffer.tombstones())
-            .collect();
         let shadowed = p.shadowed;
+        // Room for every buffered hit and every main hit fetched below.
+        let mut hits = Vec::with_capacity(p.buffer.len() + k + shadowed);
+        hits.extend(
+            p.buffer
+                .scan(vector, &self.inner.schema.metric, predicate)
+                .map(|(key, dist, _)| SearchHit { key, dist }),
+        );
+        let hidden: HashSet<u64> = p.buffer.hidden().collect();
         let m = self.inner.main.read(); // pin before releasing `pending`
         drop(p);
 
@@ -1171,35 +1127,16 @@ impl Collection {
             text: String,
         }
         let p = self.inner.pending.lock();
-        let mut buf: Vec<BufCand> = Vec::new();
-        for hit in p.buffer.search(vector, p.buffer.len().max(k))? {
-            let passes = predicate.eval_values(&|col: &str| {
-                p.buffer_attrs
-                    .get(&hit.key)
-                    .and_then(|vals| vals.iter().find(|(n, _)| n == col))
-                    .map(|(_, v)| v.clone())
-            });
-            if !passes {
-                continue;
-            }
-            let text = p
-                .buffer_attrs
-                .get(&hit.key)
-                .and_then(|vals| vals.iter().find(|(n, _)| n == text_col))
-                .map(|(_, v)| text_of(v).to_string())
-                .unwrap_or_default();
-            buf.push(BufCand {
-                key: hit.key,
-                dist: hit.dist,
-                text,
-            });
-        }
-        let hidden: HashSet<u64> = p
+        let buf: Vec<BufCand> = p
             .buffer
-            .live_keys()
-            .into_iter()
-            .chain(p.buffer.tombstones())
+            .scan(vector, &self.inner.schema.metric, predicate)
+            .map(|(key, dist, row)| BufCand {
+                key,
+                dist,
+                text: row.attr(text_col).map(text_of).unwrap_or("").to_string(),
+            })
             .collect();
+        let hidden: HashSet<u64> = p.buffer.hidden().collect();
         let shadowed = p.shadowed;
         let m = self.inner.main.read(); // pin before releasing `pending`
         drop(p);
@@ -1374,31 +1311,14 @@ impl Collection {
                 actual: vector.len(),
             });
         }
-        let mut hits = Vec::new();
         let p = self.inner.pending.lock();
-        for hit in p.buffer.search(vector, p.buffer.len().max(1))? {
-            if hit.dist > radius {
-                continue;
-            }
-            let passes = predicate.eval_values(&|col: &str| {
-                p.buffer_attrs
-                    .get(&hit.key)
-                    .and_then(|vals| vals.iter().find(|(n, _)| n == col))
-                    .map(|(_, v)| v.clone())
-            });
-            if passes {
-                hits.push(SearchHit {
-                    key: hit.key,
-                    dist: hit.dist,
-                });
-            }
-        }
-        let hidden: HashSet<u64> = p
+        let mut hits: Vec<SearchHit> = p
             .buffer
-            .live_keys()
-            .into_iter()
-            .chain(p.buffer.tombstones())
+            .scan(vector, &self.inner.schema.metric, predicate)
+            .filter(|&(_, dist, _)| dist <= radius)
+            .map(|(key, dist, _)| SearchHit { key, dist })
             .collect();
+        let hidden: HashSet<u64> = p.buffer.hidden().collect();
         let m = self.inner.main.read(); // pin before releasing `pending`
         drop(p);
         if let Some(index) = &m.index {
@@ -1504,24 +1424,19 @@ impl Inner {
     /// land during the rebuild stay buffered and survive as the WAL
     /// tail.
     fn rebuild_cycle(&self, force_checkpoint: bool) -> Result<bool> {
-        // 1. Consistent, non-destructive view of the buffer.
-        let (keys, drained, tombstones, drained_attrs, durable) = {
+        // 1. Consistent, non-destructive copy of the buffer.
+        let (snap, durable) = {
             let p = self.pending.lock();
-            let (keys, drained) = p.buffer.snapshot_live();
-            let tombstones: HashSet<u64> = p.buffer.tombstones().collect();
-            let drained_attrs: Vec<Vec<(String, AttrValue)>> = keys
-                .iter()
-                .map(|k| p.buffer_attrs.get(k).cloned().unwrap_or_default())
-                .collect();
-            (keys, drained, tombstones, drained_attrs, p.wal.is_some())
+            (p.buffer.snapshot(), p.wal.is_some())
         };
-        if keys.is_empty() && tombstones.is_empty() {
+        if snap.keys.is_empty() && snap.tombstones.is_empty() {
             if force_checkpoint && durable {
                 self.checkpoint_in_place()?;
             }
             return Ok(false);
         }
-        let drained_keys: HashSet<u64> = keys.iter().copied().collect();
+        // Main rows the copy deletes or replaces.
+        let dropped: HashSet<u64> = snap.keys.iter().chain(&snap.tombstones).copied().collect();
 
         // 2. Copy surviving main rows under a shared read lock.
         let mut new_attrs = AttributeStore::new();
@@ -1533,9 +1448,9 @@ impl Inner {
         let mut new_vectors = {
             let m = self.main.read();
             let mut new_vectors =
-                Vectors::with_capacity(self.schema.dim, m.vectors.len() + keys.len());
+                Vectors::with_capacity(self.schema.dim, m.vectors.len() + snap.keys.len());
             for (row, &key) in m.row_keys.iter().enumerate() {
-                if !m.row_is_live(row) || tombstones.contains(&key) || drained_keys.contains(&key) {
+                if !m.row_is_live(row) || dropped.contains(&key) {
                     continue;
                 }
                 let new_row = new_vectors.push(m.vectors.get(row))?;
@@ -1562,9 +1477,9 @@ impl Inner {
         };
 
         // 3. Append the buffered rows (shadowing same-key main rows).
-        for (i, &key) in keys.iter().enumerate() {
-            let new_row = new_vectors.push(drained.get(i))?;
-            let row_values: Vec<(&str, AttrValue)> = drained_attrs[i]
+        for (i, &key) in snap.keys.iter().enumerate() {
+            let new_row = new_vectors.push(snap.vectors.get(i))?;
+            let row_values: Vec<(&str, AttrValue)> = snap.attrs[i]
                 .iter()
                 .map(|(n, v)| (n.as_str(), v.clone()))
                 .collect();
@@ -1624,12 +1539,19 @@ impl Inner {
             snapshot::write_checkpoint(&path, &ckpt)?;
         }
 
-        // 6. Atomic publication + retirement of the merged prefix, all
-        // under the pending lock so no write interleaves. The WAL is
-        // rewritten to exactly the still-buffered tail.
+        // 6. Atomic publication + retirement of the copied rows, all under
+        // the pending lock so no write interleaves. Rows written since the
+        // copy stay buffered, and the WAL is rewritten to exactly them.
         let swap = Instant::now();
         {
             let mut p = self.pending.lock();
+            p.buffer.retire(&snap);
+            // What the buffer still hides of the fresh main: O(buffer).
+            p.shadowed = p
+                .buffer
+                .hidden()
+                .filter(|k| new_map.contains_key(k))
+                .count();
             self.main.install(Main {
                 vectors: new_vectors,
                 attrs: new_attrs,
@@ -1640,27 +1562,8 @@ impl Inner {
                 index_from_image: false,
                 text: new_text,
             });
-            p.buffer.purge_merged(&keys, &drained);
-            p.buffer.clear_tombstones(tombstones.iter().copied());
-            for k in &keys {
-                if !p.buffer.contains(*k) {
-                    p.buffer_attrs.remove(k);
-                }
-            }
-            // Recompute `shadowed` against the fresh main (lock order
-            // pending → main holds).
-            {
-                let m = self.main.read();
-                p.shadowed = m
-                    .row_keys
-                    .iter()
-                    .enumerate()
-                    .filter(|&(row, &k)| m.key_to_row.get(&k) == Some(&row))
-                    .filter(|&(_, &k)| p.buffer.is_deleted(k) || p.buffer.contains(k))
-                    .count();
-            }
             if durable {
-                let tail = wal_tail_of(&p.buffer, &p.buffer_attrs);
+                let tail = p.buffer.wal_tail();
                 p.wal
                     .as_mut()
                     .expect("durable collection holds a WAL")
@@ -1680,11 +1583,10 @@ impl Inner {
     /// accumulated dead rows) — the caller falls back to a full rebuild.
     fn try_incremental(&self) -> Result<Option<bool>> {
         let mut p = self.pending.lock();
-        if p.buffer.is_empty() && p.buffer.tombstone_count() == 0 {
+        let (n_buf, n_tomb) = (p.buffer.len(), p.buffer.tombstone_count());
+        if n_buf == 0 && n_tomb == 0 {
             return Ok(Some(false));
         }
-        let n_buf = p.buffer.len();
-        let n_tomb = p.buffer.tombstone_count();
         let pend = &mut *p;
         let swap = Instant::now();
         let applied = self.main.update(|m| -> Result<bool> {
@@ -1702,9 +1604,9 @@ impl Inner {
             if (m.dead_rows + n_tomb + n_buf) * 10 > (m.row_keys.len() + n_buf) * 3 {
                 return Ok(false);
             }
-            let (keys, drained) = pend.buffer.drain_live();
-            let mut tombstones: Vec<u64> = pend.buffer.take_tombstones().into_iter().collect();
-            tombstones.sort_unstable(); // deterministic repair order
+            // Drain: copy and retire under the same lock.
+            let snap = pend.buffer.snapshot();
+            pend.buffer.retire(&snap);
             let text_col = self.schema.text_column.as_deref();
             let Main {
                 vectors,
@@ -1721,14 +1623,14 @@ impl Inner {
                 .expect("checked above")
                 .as_mutable()
                 .expect("checked above");
-            for &key in &tombstones {
+            for &key in &snap.tombstones {
                 if let Some(row) = key_to_row.remove(&key) {
                     idx.remove(row)?;
                     *dead_rows += 1;
                 }
             }
-            for (i, &key) in keys.iter().enumerate() {
-                let v = drained.get(i);
+            for (i, &key) in snap.keys.iter().enumerate() {
+                let v = snap.vectors.get(i);
                 if let Some(old) = key_to_row.remove(&key) {
                     idx.remove(old)?;
                     *dead_rows += 1;
@@ -1739,8 +1641,7 @@ impl Inner {
                     irow, row,
                     "index rows must stay aligned with stored vectors"
                 );
-                let pend_attrs = pend.buffer_attrs.remove(&key).unwrap_or_default();
-                let row_values: Vec<(&str, AttrValue)> = pend_attrs
+                let row_values: Vec<(&str, AttrValue)> = snap.attrs[i]
                     .iter()
                     .map(|(n, v)| (n.as_str(), v.clone()))
                     .collect();
@@ -1751,7 +1652,7 @@ impl Inner {
                     // compacted at the next full rebuild, filtered by
                     // `row_is_live` until then.
                     let doc = text_col
-                        .and_then(|c| pend_attrs.iter().find(|(n, _)| n == c))
+                        .and_then(|c| snap.attrs[i].iter().find(|(n, _)| n == c))
                         .map(|(_, v)| text_of(v))
                         .unwrap_or("");
                     t.push_doc(doc);
@@ -1808,7 +1709,7 @@ impl Inner {
             .snapshot_path()
             .expect("durable collection has a wal_dir");
         snapshot::write_checkpoint(&path, &ckpt)?;
-        let tail = wal_tail_of(&p.buffer, &p.buffer_attrs);
+        let tail = p.buffer.wal_tail();
         p.wal.as_mut().expect("checked above").rewrite(&tail)
     }
 
@@ -1867,27 +1768,6 @@ impl Inner {
             index,
         })
     }
-}
-
-/// WAL records equivalent to the buffer's current contents (the
-/// not-yet-merged tail). Live and tombstoned key sets are disjoint, so
-/// record order across the two groups is immaterial.
-fn wal_tail_of(
-    buffer: &LsmStore,
-    buffer_attrs: &HashMap<u64, Vec<(String, AttrValue)>>,
-) -> Vec<WalRecord> {
-    let mut records = Vec::new();
-    for key in buffer.live_keys() {
-        let vector = buffer.get(key).expect("live key has a vector").to_vec();
-        let attrs = buffer_attrs.get(&key).cloned().unwrap_or_default();
-        records.push(WalRecord::Insert { key, vector, attrs });
-    }
-    let mut tombs: Vec<u64> = buffer.tombstones().collect();
-    tombs.sort_unstable();
-    for key in tombs {
-        records.push(WalRecord::Delete { key });
-    }
-    records
 }
 
 /// Maintenance worker: sleep on the doorbell, then merge until the

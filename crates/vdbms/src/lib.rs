@@ -24,7 +24,7 @@
 //! - [`db`] — the [`Vdbms`] registry: DDL, DML, VQL execution, indirect
 //!   (embedding-backed) manipulation,
 //! - [`collection`] — schema-validated collections with hybrid search and
-//!   LSM-buffered out-of-place updates (§2.3(3)),
+//!   out-of-place updates through a keyed update buffer (§2.3(3)),
 //! - [`schema`] / [`indexspec`] — declarative collection and index specs,
 //! - [`embed`] — the in-system text embedder (§2.1 indirect manipulation),
 //! - [`vql`] — the textual query language (§2.1 query interfaces),
@@ -33,6 +33,7 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod buffer;
 pub mod collection;
 pub mod db;
 pub mod embed;

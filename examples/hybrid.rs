@@ -52,7 +52,7 @@ fn main() -> vdb_core::Result<()> {
                 ],
             )?;
         }
-        col.merge()?; // fold the LSM buffer so searches hit the index
+        col.merge()?; // fold the update buffer so searches hit the index
     }
 
     // A query vector near the "glacier" cluster, plus the keyword.

@@ -28,7 +28,7 @@ fn main() -> vdb_core::Result<()> {
     let mut c = Collection::create(schema.clone(), cfg.clone())?;
 
     // Interleave inserts with searches; search latency stays flat because
-    // writes land in the LSM buffer, not the graph.
+    // writes land in the update buffer, not the graph.
     println!("streaming 10k inserts with interleaved searches:");
     println!(
         "{:>8} {:>10} {:>12} {:>8}",

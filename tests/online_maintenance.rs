@@ -6,11 +6,13 @@
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::RwLock;
 use vdb::{Collection, CollectionConfig, CollectionSchema, IndexSpec, MergeMode};
+use vdb_core::attr::{AttrType, AttrValue};
 use vdb_core::error::Error;
 use vdb_core::metric::Metric;
 use vdb_core::rng::Rng;
 use vdb_core::vector::Vectors;
 use vdb_core::{dataset, FlatIndex, SearchParams, VectorIndex};
+use vdb_storage::TempDir;
 
 const DIM: usize = 16;
 
@@ -283,4 +285,56 @@ fn collection_delete_then_search_under_every_merge_mode() {
         assert_eq!(c.stats().buffered, 0, "{}", mode.name());
         assert_eq!(c.stats().merge_mode, mode.name());
     }
+}
+
+/// An overwrite that lands while a background merge is running survives
+/// the merge even when it keeps the row's vector and changes only its
+/// attributes: the merge retires the buffered rows it copied, not rows
+/// that happen to hold an equal vector. Checked in memory and after
+/// recovery.
+#[test]
+fn overwrite_during_background_merge_survives_it() {
+    let n = 20_000;
+    let dir = TempDir::new("lost-update").unwrap();
+    let schema = CollectionSchema::new("lost", DIM, Metric::Euclidean).column("tag", AttrType::Int);
+    let cfg = CollectionConfig {
+        index: IndexSpec::parse("hnsw").unwrap(),
+        merge_threshold: n,
+        merge_mode: MergeMode::Background,
+        wal_dir: Some(dir.path().to_path_buf()),
+        ..Default::default()
+    };
+    let data = clustered(n, 0xD13);
+    let mut c = Collection::create(schema.clone(), cfg.clone()).unwrap();
+    for (key, v) in data.iter().enumerate() {
+        c.insert(key as u64, v, &[("tag", AttrValue::Int(1))])
+            .unwrap();
+    }
+    // The n-th insert rang the maintenance doorbell.
+    while c.stats().rebuilds_in_flight == 0 {
+        std::thread::sleep(std::time::Duration::from_millis(1));
+    }
+    std::thread::sleep(std::time::Duration::from_millis(100));
+    c.insert(5, data.get(5), &[("tag", AttrValue::Int(99))])
+        .unwrap();
+    let s = c.stats();
+    assert_eq!(
+        (s.rebuilds_in_flight, s.merges),
+        (1, 0),
+        "the overwrite must land during the merge"
+    );
+    while c.stats().merges == 0 {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+    }
+    let tag = |c: &Collection| c.get_attrs(5).unwrap()[0].1.clone();
+    assert_eq!(tag(&c), AttrValue::Int(99), "overwrite lost in memory");
+    assert_eq!(
+        c.stats().buffered,
+        1,
+        "the overwrite landed after the merge's snapshot and stays buffered"
+    );
+    drop(c);
+    let r = Collection::recover(schema, cfg).unwrap();
+    assert_eq!(tag(&r), AttrValue::Int(99), "overwrite lost after recovery");
+    assert_eq!(r.len(), n);
 }

@@ -15,7 +15,6 @@ use vdb_core::rng::Rng;
 use vdb_core::topk::{top_k_by_sort, Neighbor, TopK};
 use vdb_core::vector::Vectors;
 use vdb_quant::{PqConfig, ProductQuantizer, ScalarQuantizer, SqBits};
-use vdb_storage::{LsmConfig, LsmStore};
 
 const CASES: usize = 64;
 
@@ -255,41 +254,6 @@ fn bitset_behaves_like_hashset() {
         from_bits.sort_unstable();
         from_model.sort_unstable();
         assert_eq!(from_bits, from_model);
-    }
-}
-
-#[test]
-fn lsm_read_your_writes() {
-    let mut rng = Rng::seed_from_u64(0xA7);
-    for _ in 0..CASES {
-        let mut lsm = LsmStore::new(
-            2,
-            Metric::Euclidean,
-            LsmConfig {
-                memtable_capacity: 7,
-                max_segments: 2,
-            },
-        );
-        let mut model: std::collections::HashMap<u64, [f32; 2]> = std::collections::HashMap::new();
-        for _ in 0..1 + rng.below(79) {
-            let key = rng.below(20) as u64;
-            let x = rng.f32() * 20.0 - 10.0;
-            if rng.below(2) == 0 {
-                lsm.insert(key, &[x, -x]).unwrap();
-                model.insert(key, [x, -x]);
-            } else {
-                lsm.delete(key);
-                model.remove(&key);
-            }
-        }
-        assert_eq!(lsm.len(), model.len());
-        for (k, v) in &model {
-            assert_eq!(lsm.get(*k), Some(&v[..]), "key {k}");
-        }
-        // Search returns exactly the live keys.
-        let hits = lsm.search(&[0.0, 0.0], 100).unwrap();
-        let hit_keys: std::collections::HashSet<u64> = hits.iter().map(|h| h.key).collect();
-        assert_eq!(hit_keys, model.keys().copied().collect());
     }
 }
 
