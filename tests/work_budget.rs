@@ -69,7 +69,8 @@ fn measure(f: impl FnOnce()) -> (u64, u64) {
 
 const K: usize = 10;
 
-/// Allocations and bytes of 100 warm top-10 searches, per row.
+/// Allocations and bytes of 100 warm top-10 searches, per row, and of
+/// the one merge that folds the buffered collection's writes in.
 const BUDGETS: &[(&str, u64, u64)] = &[
     ("flat", 100, 16000),
     ("lsh", 100, 16000),
@@ -90,6 +91,7 @@ const BUDGETS: &[(&str, u64, u64)] = &[
     ("spann", 5972, 12135808),
     ("collection/hnsw", 300, 76800),
     ("collection/hnsw+buffer", 400, 436800),
+    ("collection/merge", 14731, 6137648),
 ];
 
 fn fixture() -> (Vectors, Vectors) {
@@ -119,8 +121,13 @@ fn index_row(name: &str, data: &Vectors, queries: &Vectors) -> (u64, u64) {
 /// 100 `Collection::search` calls on a merged, non-durable HNSW
 /// collection, after one warm-up pass. With `buffered`, 64 writes stay
 /// unmerged first: 40 inserts of new keys, 16 overwrites of merged keys
-/// and 8 deletes of merged keys.
-fn collection_row(data: &Vectors, queries: &Vectors, buffered: bool) -> (u64, u64) {
+/// and 8 deletes of merged keys; the searches are then followed by one
+/// measured `merge()` that folds those writes in.
+fn collection_row(
+    data: &Vectors,
+    queries: &Vectors,
+    buffered: bool,
+) -> ((u64, u64), Option<(u64, u64)>) {
     let mut db = Vdbms::new(SystemProfile::MostlyVector);
     db.create_collection(
         CollectionSchema::new("docs", data.dim(), Metric::Euclidean),
@@ -152,7 +159,13 @@ fn collection_row(data: &Vectors, queries: &Vectors, buffered: bool) -> (u64, u6
         }
     };
     pass();
-    measure(pass)
+    let searches = measure(pass);
+    let merge = buffered.then(|| {
+        let cost = measure(|| c.merge().unwrap());
+        assert_eq!(c.stats().buffered, 0, "the merge folds every write in");
+        cost
+    });
+    (searches, merge)
 }
 
 #[test]
@@ -168,8 +181,11 @@ fn warm_searches_allocate_exactly_their_budget() {
         })
         .collect();
     for (name, buffered) in [("collection/hnsw", false), ("collection/hnsw+buffer", true)] {
-        let (allocs, bytes) = collection_row(&data, &queries, buffered);
+        let ((allocs, bytes), merge) = collection_row(&data, &queries, buffered);
         measured.push((name.to_string(), allocs, bytes));
+        if let Some((allocs, bytes)) = merge {
+            measured.push(("collection/merge".to_string(), allocs, bytes));
+        }
     }
     let expected: Vec<(String, u64, u64)> = BUDGETS
         .iter()
