@@ -27,14 +27,16 @@ echo "== crash-fault injection: durability sweep =="
 # The failpoint harness crashes every durable step of
 # insert/delete/merge/checkpoint and requires recovery to land on
 # exactly the pre- or post-op state (DESIGN.md §9). Debug profile on
-# purpose: Collection::len's debug_assert cross-checks the incremental
-# shadowed-row counter against a full rescan on every call.
+# purpose: Collection::len's debug_assert cross-checks the shadowed-row
+# counter against a full rescan on every call.
 cargo test -q --test crash_recovery
 cargo test -q -p vdb-storage --test wal_torn_tail
 
-echo "== online maintenance: mutability + background-merge stress =="
+echo "== online maintenance: index mutability + background-merge stress =="
 # Mixed insert/delete/search stress: per-family tombstone correctness
-# and post-repair recall, plus 20+ background rebuilds published
+# and post-repair recall of the index library's MutableIndex capability
+# (the collection never patches a published index in place; it only
+# rebuilds and swaps), plus 20+ background rebuilds published
 # atomically under continuously-asserting concurrent searchers with
 # bounded-buffer (BUSY) backpressure on the writer (DESIGN.md §11), and
 # an overwrite that lands mid-merge with an unchanged vector survives the

@@ -6,7 +6,6 @@ pub mod disk_pipeline;
 pub mod execution;
 pub mod hybrid;
 pub mod index_zoo;
-pub mod maintenance;
 pub mod recovery;
 pub mod replication;
 pub mod scale_out;
@@ -16,9 +15,9 @@ pub mod serving;
 use crate::Scale;
 
 /// All experiment ids in presentation order.
-pub const ALL: [&str; 22] = [
+pub const ALL: [&str; 21] = [
     "f1", "t1", "b1", "t2", "f2", "f3", "t3", "h1", "f4", "t4", "f5", "f6", "r1", "f7", "d1", "f8",
-    "t5", "k1", "s1", "s2", "m1", "s3",
+    "t5", "k1", "s1", "s2", "s3",
 ];
 
 /// Dispatch one experiment by id.
@@ -44,7 +43,6 @@ pub fn run(id: &str, scale: Scale) -> vdb_core::Result<()> {
         "k1" => score::k1_simd_dispatch(),
         "s1" => serving::s1_serving(scale),
         "s2" => serving::s2_connection_scaling(scale),
-        "m1" => maintenance::m1_online_maintenance(scale),
         "s3" => replication::s3_failover(scale),
         other => Err(vdb_core::Error::InvalidParameter(format!(
             "unknown experiment `{other}`; known: {ALL:?}"

@@ -9,7 +9,6 @@
 //! whose invariants hold between individual operations, so a panic
 //! mid-critical-section cannot leave state worth quarantining.
 
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{MutexGuard, RwLockReadGuard, RwLockWriteGuard};
 
 /// A mutual-exclusion lock whose `lock` ignores poisoning.
@@ -94,26 +93,21 @@ impl<T: ?Sized> RwLock<T> {
     }
 }
 
-/// An epoch-stamped publication cell: readers borrow a consistent
-/// snapshot of `T` while a writer prepares a replacement off to the
-/// side and installs it atomically (the arc-swap pattern, built from
-/// an [`RwLock`] so the workspace stays dependency-free).
-///
-/// The epoch counter increments on every install or in-place update,
-/// so observers can cheaply detect "something was republished since I
-/// last looked" without holding the lock.
+/// A publication cell: readers borrow a consistent snapshot of `T`
+/// while a writer prepares a replacement off to the side and installs
+/// it atomically (the arc-swap pattern, built from an [`RwLock`] so the
+/// workspace stays dependency-free). A published value is never
+/// mutated, only replaced.
 #[derive(Debug, Default)]
 pub struct Published<T> {
     cell: RwLock<T>,
-    epoch: AtomicU64,
 }
 
 impl<T> Published<T> {
-    /// Publish an initial value at epoch 0.
+    /// Publish an initial value.
     pub fn new(value: T) -> Self {
         Published {
             cell: RwLock::new(value),
-            epoch: AtomicU64::new(0),
         }
     }
 
@@ -129,41 +123,14 @@ impl<T> Published<T> {
     /// one. The exclusive section is a pointer-sized swap: prepare the
     /// replacement *before* calling install.
     pub fn install(&self, value: T) -> T {
-        let mut guard = self.cell.write();
-        let old = std::mem::replace(&mut *guard, value);
-        self.epoch.fetch_add(1, Ordering::Release);
-        old
-    }
-
-    /// Mutate the published value in place under the write lock (used
-    /// by incremental maintenance, where the update is small and an
-    /// off-to-the-side rebuild would cost more than the pause).
-    pub fn update<R>(&self, f: impl FnOnce(&mut T) -> R) -> R {
-        let mut guard = self.cell.write();
-        let out = f(&mut *guard);
-        self.epoch.fetch_add(1, Ordering::Release);
-        out
-    }
-
-    /// The number of publications so far (installs + in-place updates).
-    pub fn epoch(&self) -> u64 {
-        self.epoch.load(Ordering::Acquire)
-    }
-
-    /// Access the published value through exclusive borrow (no locking).
-    pub fn get_mut(&mut self) -> &mut T {
-        self.cell.get_mut()
-    }
-
-    /// Consume the cell, returning the published value.
-    pub fn into_inner(self) -> T {
-        self.cell.into_inner()
+        std::mem::replace(&mut *self.cell.write(), value)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::sync::atomic::Ordering;
 
     #[test]
     fn lock_and_mutate() {
@@ -197,17 +164,12 @@ mod tests {
     }
 
     #[test]
-    fn published_install_bumps_epoch_and_returns_old() {
+    fn published_install_returns_old() {
         let p = Published::new("old");
-        assert_eq!(p.epoch(), 0);
         assert_eq!(*p.read(), "old");
         let prev = p.install("new");
         assert_eq!(prev, "old");
         assert_eq!(*p.read(), "new");
-        assert_eq!(p.epoch(), 1);
-        p.update(|v| *v = "patched");
-        assert_eq!(*p.read(), "patched");
-        assert_eq!(p.epoch(), 2);
     }
 
     #[test]
@@ -235,6 +197,6 @@ mod tests {
         for r in readers {
             r.join().unwrap();
         }
-        assert_eq!(p.epoch(), 500);
+        assert_eq!(*p.read(), (500, 500));
     }
 }

@@ -80,11 +80,6 @@ impl Buffer {
         self.rows.len()
     }
 
-    /// Number of tombstones.
-    pub fn tombstone_count(&self) -> usize {
-        self.tombstones.len()
-    }
-
     /// Insert or overwrite `key`, clearing any tombstone it had.
     pub fn put(&mut self, key: u64, vector: Vec<f32>, attrs: Attrs) {
         debug_assert_eq!(vector.len(), self.dim, "caller checks the dimension");
@@ -255,7 +250,7 @@ mod tests {
         assert!(b.get(1).is_none());
         assert!(b.is_deleted(1) && b.hides(1));
         assert_eq!(b.len(), 0);
-        assert_eq!(b.tombstone_count(), 1, "the tombstone is pending");
+        assert_eq!(b.hidden().count(), 1, "the tombstone is pending");
     }
 
     #[test]
@@ -299,7 +294,7 @@ mod tests {
         assert_eq!(b.len(), 9, "the snapshot leaves the buffer intact");
         b.retire(&snap);
         assert_eq!(
-            (b.len(), b.tombstone_count()),
+            (b.len(), b.hidden().count()),
             (0, 0),
             "nothing written since: everything retires"
         );

@@ -11,20 +11,17 @@
 //! A merge retires exactly the buffered writes it folded in, so a write
 //! that lands during a background merge survives it.
 //!
-//! Three maintenance modes ([`MergeMode`]):
+//! A published main part is never mutated: every merge builds its
+//! replacement off to the side — searches keep running against the old
+//! one — and swaps it in atomically via [`vdb_core::sync::Published`].
+//! So every row of the main part backs exactly one key, and readers
+//! trust any row an index returns. Two maintenance modes ([`MergeMode`]):
 //!
 //! - **Blocking** (default): the merge runs inline on the writing thread,
 //!   exactly like the classic stop-the-world rebuild.
-//! - **Incremental**: when the main index supports in-place mutation
-//!   (`VectorIndex::as_mutable`), buffered upserts and tombstones are
-//!   patched directly into the published index under a short write
-//!   section; a dead-row-fraction heuristic falls back to a full rebuild
-//!   when in-place patching would degrade the index.
-//! - **Background**: a maintenance thread rebuilds the index off to the
-//!   side while searches keep running against the old snapshot, then
-//!   swaps the replacement in atomically via [`vdb_core::sync::Published`].
-//!   Writers never block on a rebuild; a bounded buffer sheds load with
-//!   [`Error::Busy`] instead of stalling.
+//! - **Background**: a maintenance thread runs the merge. Writers never
+//!   block on a rebuild; a bounded buffer sheds load with [`Error::Busy`]
+//!   instead of stalling.
 //!
 //! Durability: every insert/delete is WAL-logged (vector *and*
 //! attributes) and fsynced before it is acknowledged. Each merge ends
@@ -142,10 +139,6 @@ pub enum MergeMode {
     /// Stop-the-world: the merge runs inline on the writing thread.
     #[default]
     Blocking,
-    /// Patch the published index in place when it supports mutation
-    /// (falls back to a rebuild when it does not, or when accumulated
-    /// dead rows would degrade it).
-    Incremental,
     /// Rebuild on a maintenance thread and swap atomically; writers
     /// shed load with [`Error::Busy`] once the buffer hits its bound.
     Background,
@@ -156,18 +149,7 @@ impl MergeMode {
     pub fn name(&self) -> &'static str {
         match self {
             MergeMode::Blocking => "blocking",
-            MergeMode::Incremental => "incremental",
             MergeMode::Background => "background",
-        }
-    }
-
-    /// Parse a mode by its [`MergeMode::name`].
-    pub fn parse(name: &str) -> Result<MergeMode> {
-        match name {
-            "blocking" => Ok(MergeMode::Blocking),
-            "incremental" => Ok(MergeMode::Incremental),
-            "background" => Ok(MergeMode::Background),
-            other => Err(Error::Parse(format!("unknown merge mode `{other}`"))),
         }
     }
 }
@@ -179,13 +161,14 @@ pub struct CollectionConfig {
     pub index: IndexSpec,
     /// Buffer size (live keys) that triggers a merge/rebuild.
     pub merge_threshold: usize,
-    /// How merges are applied (inline, in place, or on a background
-    /// thread with atomic publication).
+    /// Where merges run (inline on the writer, or on a background
+    /// thread); either way the result is published atomically.
     pub merge_mode: MergeMode,
     /// Buffer bound for [`MergeMode::Background`]: inserts beyond this
     /// depth fail with [`Error::Busy`] until maintenance catches up.
-    /// `0` = auto (4× `merge_threshold`). Ignored in the other modes,
-    /// where the writer merges inline instead of outrunning it.
+    /// `0` = auto (4× `merge_threshold`). Ignored in
+    /// [`MergeMode::Blocking`], where the writer merges inline instead of
+    /// outrunning it.
     pub max_buffer: usize,
     /// Planner mode for hybrid queries.
     pub planner: PlannerMode,
@@ -222,7 +205,7 @@ pub struct CollectionStats {
     pub indexed: usize,
     /// Rows waiting in the update buffer.
     pub buffered: usize,
-    /// Merges (index rebuilds or in-place folds) performed.
+    /// Merges (index rebuilds) performed.
     pub merges: usize,
     /// Main index name ("none" before the first merge).
     pub index_name: &'static str,
@@ -245,33 +228,26 @@ pub struct CollectionStats {
     pub index_from_image: bool,
 }
 
-/// The published (indexed) part: an immutable-by-readers snapshot that
-/// maintenance replaces atomically, or patches in place under the
-/// publication write lock.
+/// The published (indexed) part: an immutable snapshot that maintenance
+/// replaces atomically. Row `i` of `vectors`, `attrs`, `row_keys`, the
+/// index and the text index all describe the one key `row_keys[i]`.
 struct Main {
     vectors: Vectors,
     attrs: AttributeStore,
     row_keys: Vec<u64>,
     key_to_row: HashMap<u64, usize>,
-    /// Rows removed from the index in place but still occupying slots in
-    /// `vectors`/`row_keys` (incremental mode); reclaimed at the next
-    /// full rebuild.
-    dead_rows: usize,
     index: Option<Box<dyn VectorIndex>>,
     /// `index` was loaded from a snapshot image, not built.
     index_from_image: bool,
     /// BM25 inverted index over the schema's text column, doc ids
     /// aligned with row indices (Some iff the schema registers one).
-    /// Retired rows keep stale postings until the next rebuild; readers
-    /// filter them through `row_is_live`.
     text: Option<TextIndex>,
 }
 
 impl Main {
-    /// Whether `row` still backs its key (false once an in-place delete
-    /// or overwrite retired it).
-    fn row_is_live(&self, row: usize) -> bool {
-        self.key_to_row.get(&self.row_keys[row]) == Some(&row)
+    /// Every row backs exactly one key and every key one row.
+    fn is_aligned(&self) -> bool {
+        self.row_keys.len() == self.key_to_row.len() && self.key_to_row.len() == self.vectors.len()
     }
 }
 
@@ -352,7 +328,6 @@ impl Collection {
             attrs,
             row_keys: Vec::new(),
             key_to_row: HashMap::new(),
-            dead_rows: 0,
             index: None,
             index_from_image: false,
             text: schema
@@ -518,16 +493,17 @@ impl Collection {
         } else {
             None
         };
-        self.inner.main.install(Main {
+        let main = Main {
             vectors: snap.vectors,
             attrs,
             row_keys: snap.row_keys,
             key_to_row,
-            dead_rows: 0,
             index,
             index_from_image,
             text,
-        });
+        };
+        debug_assert!(main.is_aligned(), "installed rows and keys disagree");
+        self.inner.main.install(main);
         self.inner.pending.lock().shadowed = 0;
         Ok(())
     }
@@ -545,15 +521,10 @@ impl Collection {
         let m = self.inner.main.read();
         debug_assert_eq!(
             p.shadowed,
-            m.row_keys
-                .iter()
-                .enumerate()
-                .filter(|&(row, &k)| m.key_to_row.get(&k) == Some(&row))
-                .filter(|&(_, &k)| p.buffer.hides(k))
-                .count(),
-            "incremental shadowed count diverged from a full rescan"
+            m.row_keys.iter().filter(|&&k| p.buffer.hides(k)).count(),
+            "the shadowed-row count diverged from a full rescan"
         );
-        m.row_keys.len() - m.dead_rows - p.shadowed + p.buffer.len()
+        m.row_keys.len() - p.shadowed + p.buffer.len()
     }
 
     /// Whether the collection holds no live entities.
@@ -567,8 +538,8 @@ impl Collection {
         let m = self.inner.main.read();
         let stats = &self.inner.stats;
         CollectionStats {
-            live: m.row_keys.len() - m.dead_rows - p.shadowed + p.buffer.len(),
-            indexed: m.vectors.len() - m.dead_rows,
+            live: m.row_keys.len() - p.shadowed + p.buffer.len(),
+            indexed: m.vectors.len(),
             buffered: p.buffer.len(),
             merges: stats.merges.load(Ordering::Relaxed),
             index_name: m.index.as_ref().map(|i| i.name()).unwrap_or("none"),
@@ -742,9 +713,7 @@ impl Collection {
         let mut out: Vec<u64> = m
             .row_keys
             .iter()
-            .enumerate()
-            .filter(|&(row, &k)| m.key_to_row.get(&k) == Some(&row))
-            .map(|(_, &k)| k)
+            .copied()
             .filter(|&k| !p.buffer.hides(k))
             .collect();
         out.extend(p.buffer.keys());
@@ -867,7 +836,7 @@ impl Collection {
         let _gate = self.inner.merge_gate.lock();
         let p = self.inner.pending.lock();
         let m = self.inner.main.read();
-        let snap_bytes = snapshot::encode(&self.inner.snapshot_of_main(&m)?)?;
+        let snap_bytes = snapshot::encode(&self.inner.checkpoint_of(&m)?)?;
         let tail = p.buffer.wal_tail();
         let mut tail_stream = Vec::new();
         for (i, rec) in tail.iter().enumerate() {
@@ -1038,8 +1007,7 @@ impl Collection {
         drop(p);
 
         // Main part: over-fetch to survive shadowed rows. `shadowed` is
-        // maintained incrementally — no O(n) rescan per query. (In-place
-        // deleted rows are tombstoned inside the index and never surface.)
+        // maintained incrementally — no O(n) rescan per query.
         if let Some(index) = &m.index {
             let fetch = (k + shadowed).min(m.vectors.len());
             if fetch > 0 {
@@ -1053,9 +1021,6 @@ impl Collection {
                 };
                 for n in main_hits {
                     let key = m.row_keys[n.id];
-                    if m.key_to_row.get(&key) != Some(&n.id) {
-                        continue; // retired in place, not yet reclaimed
-                    }
                     if hidden.contains(&key) {
                         continue;
                     }
@@ -1171,7 +1136,7 @@ impl Collection {
         }
 
         let chosen = strategy.unwrap_or_else(|| {
-            let n = m.row_keys.len() - m.dead_rows + buf.len();
+            let n = m.row_keys.len() + buf.len();
             self.planner
                 .plan_hybrid(n, k, text_selectivity(text_ix, query))
         });
@@ -1192,8 +1157,8 @@ impl Collection {
         let want_vector = effective != HybridStrategy::TextFirst;
         if want_text {
             let filter = CompiledPredicate::compile(predicate, &m.attrs)?;
-            // Over-fetch past rows the filters will discard: hidden or
-            // retired rows plus (heuristically) predicate failures.
+            // Over-fetch past rows the filters will discard: hidden rows
+            // plus (heuristically) predicate failures.
             let fetch_t = 2 * (m_over + shadowed) + hidden.len();
             let mut kept = 0usize;
             for hit in text_ix.search_terms(&terms, fetch_t, true) {
@@ -1201,9 +1166,6 @@ impl Collection {
                     break;
                 }
                 let row = hit.doc as usize;
-                if !m.row_is_live(row) {
-                    continue;
-                }
                 let key = m.row_keys[row];
                 if hidden.contains(&key) || !filter.eval(row) {
                     continue;
@@ -1227,7 +1189,7 @@ impl Collection {
                         .with_params(params.clone());
                     for n in self.planner.run_with(&ctx, &mut sctx, &q)?.1 {
                         let key = m.row_keys[n.id];
-                        if m.key_to_row.get(&key) != Some(&n.id) || hidden.contains(&key) {
+                        if hidden.contains(&key) {
                             continue;
                         }
                         let entry = cand.entry(key).or_insert((Src::Main(n.id), None));
@@ -1325,13 +1287,7 @@ impl Collection {
             let filter = CompiledPredicate::compile(predicate, &m.attrs)?;
             for n in index.range_search(vector, radius, params)? {
                 let key = m.row_keys[n.id];
-                if m.key_to_row.get(&key) != Some(&n.id) {
-                    continue;
-                }
-                if hidden.contains(&key) {
-                    continue;
-                }
-                if !filter.eval(n.id) {
+                if hidden.contains(&key) || !filter.eval(n.id) {
                     continue;
                 }
                 hits.push(SearchHit { key, dist: n.dist });
@@ -1397,23 +1353,11 @@ impl Inner {
         self.stats
             .rebuilds_in_flight
             .fetch_add(1, Ordering::Relaxed);
-        let out = self.merge_gated(force_checkpoint);
+        let out = self.rebuild_cycle(force_checkpoint);
         self.stats
             .rebuilds_in_flight
             .fetch_sub(1, Ordering::Relaxed);
         out
-    }
-
-    fn merge_gated(&self, force_checkpoint: bool) -> Result<bool> {
-        if self.cfg.merge_mode == MergeMode::Incremental {
-            if let Some(done) = self.try_incremental()? {
-                if force_checkpoint && !done {
-                    self.checkpoint_in_place()?;
-                }
-                return Ok(done);
-            }
-        }
-        self.rebuild_cycle(force_checkpoint)
     }
 
     /// The out-of-place merge cycle: copy a consistent view of the
@@ -1450,7 +1394,7 @@ impl Inner {
             let mut new_vectors =
                 Vectors::with_capacity(self.schema.dim, m.vectors.len() + snap.keys.len());
             for (row, &key) in m.row_keys.iter().enumerate() {
-                if !m.row_is_live(row) || dropped.contains(&key) {
+                if dropped.contains(&key) {
                     continue;
                 }
                 let new_row = new_vectors.push(m.vectors.get(row))?;
@@ -1490,8 +1434,7 @@ impl Inner {
 
         // 4. Build the replacement indexes off to the side — the
         // expensive step, taken with no lock held. The inverted index is
-        // rebuilt alongside the vector index, so rebuilds also compact
-        // away stale postings of retired rows.
+        // rebuilt alongside the vector index.
         let index = if new_vectors.is_empty() {
             None
         } else {
@@ -1501,7 +1444,17 @@ impl Inner {
                 &self.cfg.build,
             )?)
         };
-        let new_text = build_text_index(&self.schema, &new_attrs, new_keys.len())?;
+        let text = build_text_index(&self.schema, &new_attrs, new_keys.len())?;
+        let main = Main {
+            vectors: new_vectors,
+            attrs: new_attrs,
+            row_keys: new_keys,
+            key_to_row: new_map,
+            index,
+            index_from_image: false,
+            text,
+        };
+        debug_assert!(main.is_aligned(), "merged rows and keys disagree");
 
         // 5. Checkpoint snapshot BEFORE publication. The snapshot holds
         // only acknowledged (WAL-logged) operations and replay over it is
@@ -1509,34 +1462,7 @@ impl Inner {
         // correctly from (old snapshot, full WAL) or (new snapshot, full
         // WAL) alike.
         if durable {
-            let columns = self
-                .schema
-                .columns
-                .iter()
-                .map(|(name, ty)| {
-                    Ok(SnapshotColumn {
-                        name: name.clone(),
-                        ty: *ty,
-                        values: new_attrs.column(name)?.values().to_vec(),
-                    })
-                })
-                .collect::<Result<Vec<_>>>()?;
-            // The snapshot rows are exactly the fresh index's rows, so its
-            // image rides along and recovery need not rebuild.
-            let ckpt = Checkpoint {
-                snapshot: Snapshot {
-                    fingerprint: self.cfg.index.fingerprint(),
-                    row_keys: new_keys.clone(),
-                    vectors: new_vectors.clone(),
-                    columns,
-                    text: new_text.as_ref().map(|t| t.encode()),
-                },
-                index: index.as_ref().and_then(|i| i.image()),
-            };
-            let path = self
-                .snapshot_path()
-                .expect("durable collection has a wal_dir");
-            snapshot::write_checkpoint(&path, &ckpt)?;
+            self.write_checkpoint(&main)?;
         }
 
         // 6. Atomic publication + retirement of the copied rows, all under
@@ -1550,18 +1476,9 @@ impl Inner {
             p.shadowed = p
                 .buffer
                 .hidden()
-                .filter(|k| new_map.contains_key(k))
+                .filter(|k| main.key_to_row.contains_key(k))
                 .count();
-            self.main.install(Main {
-                vectors: new_vectors,
-                attrs: new_attrs,
-                row_keys: new_keys,
-                key_to_row: new_map,
-                dead_rows: 0,
-                index,
-                index_from_image: false,
-                text: new_text,
-            });
+            self.main.install(main);
             if durable {
                 let tail = p.buffer.wal_tail();
                 p.wal
@@ -1577,195 +1494,53 @@ impl Inner {
         Ok(true)
     }
 
-    /// Incremental-mode fast path: patch buffered upserts and tombstones
-    /// into the published index in place. Returns `None` when the index
-    /// cannot absorb the batch (unbuilt, immutable family, or too many
-    /// accumulated dead rows) — the caller falls back to a full rebuild.
-    fn try_incremental(&self) -> Result<Option<bool>> {
-        let mut p = self.pending.lock();
-        let (n_buf, n_tomb) = (p.buffer.len(), p.buffer.tombstone_count());
-        if n_buf == 0 && n_tomb == 0 {
-            return Ok(Some(false));
-        }
-        let pend = &mut *p;
-        let swap = Instant::now();
-        let applied = self.main.update(|m| -> Result<bool> {
-            let mutable = m
-                .index
-                .as_mut()
-                .map(|i| i.as_mutable().is_some())
-                .unwrap_or(false);
-            if !mutable {
-                return Ok(false);
-            }
-            // Dead-row heuristic: once in-place patching would leave more
-            // than ~30% retired rows behind, a rebuild serves queries
-            // better than further patching.
-            if (m.dead_rows + n_tomb + n_buf) * 10 > (m.row_keys.len() + n_buf) * 3 {
-                return Ok(false);
-            }
-            // Drain: copy and retire under the same lock.
-            let snap = pend.buffer.snapshot();
-            pend.buffer.retire(&snap);
-            let text_col = self.schema.text_column.as_deref();
-            let Main {
-                vectors,
-                attrs,
-                row_keys,
-                key_to_row,
-                dead_rows,
-                index,
-                text,
-                ..
-            } = m;
-            let idx = index
-                .as_mut()
-                .expect("checked above")
-                .as_mutable()
-                .expect("checked above");
-            for &key in &snap.tombstones {
-                if let Some(row) = key_to_row.remove(&key) {
-                    idx.remove(row)?;
-                    *dead_rows += 1;
-                }
-            }
-            for (i, &key) in snap.keys.iter().enumerate() {
-                let v = snap.vectors.get(i);
-                if let Some(old) = key_to_row.remove(&key) {
-                    idx.remove(old)?;
-                    *dead_rows += 1;
-                }
-                let row = vectors.push(v)?;
-                let irow = idx.insert(v)?;
-                debug_assert_eq!(
-                    irow, row,
-                    "index rows must stay aligned with stored vectors"
-                );
-                let row_values: Vec<(&str, AttrValue)> = snap.attrs[i]
-                    .iter()
-                    .map(|(n, v)| (n.as_str(), v.clone()))
-                    .collect();
-                attrs.push_row(&row_values)?;
-                if let Some(t) = text.as_mut() {
-                    // Keep doc ids aligned with row indices: one doc per
-                    // pushed vector. Retired rows keep stale postings —
-                    // compacted at the next full rebuild, filtered by
-                    // `row_is_live` until then.
-                    let doc = text_col
-                        .and_then(|c| snap.attrs[i].iter().find(|(n, _)| n == c))
-                        .map(|(_, v)| text_of(v))
-                        .unwrap_or("");
-                    t.push_doc(doc);
-                }
-                row_keys.push(key);
-                key_to_row.insert(key, row);
-            }
-            debug_assert!(
-                text.as_ref()
-                    .map(|t| t.n_docs() as usize == vectors.len())
-                    .unwrap_or(true),
-                "text docs must stay aligned with stored vectors"
-            );
-            Ok(true)
-        });
-        if !applied? {
-            return Ok(None);
-        }
-        self.stats
-            .last_swap_micros
-            .store(swap.elapsed().as_micros() as u64, Ordering::Relaxed);
-        pend.shadowed = 0; // buffer fully drained: nothing hides a main row
-        if let Some(wal) = &mut pend.wal {
-            // Publication already happened (the in-place update IS the
-            // publish); snapshot after it, then truncate — the buffer is
-            // empty so the retired prefix is the whole log.
-            let ckpt = {
-                let m = self.main.read();
-                self.snapshot_of_main(&m)?
-            };
-            let path = self
-                .snapshot_path()
-                .expect("durable collection has a wal_dir");
-            snapshot::write_checkpoint(&path, &ckpt)?;
-            wal.reset()?;
-        }
-        self.stats.merges.fetch_add(1, Ordering::Relaxed);
-        Ok(Some(true))
-    }
-
     /// Snapshot + WAL rewrite without folding anything (explicit
-    /// checkpoint with an empty buffer, or incremental mode where the
-    /// main part already reflects every merge).
+    /// checkpoint with an empty buffer).
     fn checkpoint_in_place(&self) -> Result<()> {
         let mut p = self.pending.lock();
         if p.wal.is_none() {
             return Ok(());
         }
-        let ckpt = {
-            let m = self.main.read();
-            self.snapshot_of_main(&m)?
-        };
-        let path = self
-            .snapshot_path()
-            .expect("durable collection has a wal_dir");
-        snapshot::write_checkpoint(&path, &ckpt)?;
+        self.write_checkpoint(&self.main.read())?;
         let tail = p.buffer.wal_tail();
         p.wal.as_mut().expect("checked above").rewrite(&tail)
     }
 
-    /// A checkpoint of the published main part, skipping rows retired in
-    /// place. The index image rides along only when nothing was retired:
-    /// otherwise the compacted rows no longer align with the index's.
-    fn snapshot_of_main(&self, m: &Main) -> Result<Checkpoint> {
-        let mut row_keys = Vec::new();
-        let mut vectors = Vectors::new(self.schema.dim);
-        let mut cols: Vec<Vec<AttrValue>> = vec![Vec::new(); self.schema.columns.len()];
-        // Re-tokenize live rows instead of serializing `m.text`: the
-        // in-memory index may still carry retired rows' postings whose
-        // doc ids would misalign with the compacted snapshot.
-        let mut text = self
-            .schema
-            .text_column
-            .as_ref()
-            .map(|_| TextIndex::with_stopwords(DEFAULT_STOPWORDS.iter().copied()));
-        let text_col = self.schema.text_column.as_deref();
-        for (row, &key) in m.row_keys.iter().enumerate() {
-            if !m.row_is_live(row) {
-                continue;
-            }
-            vectors.push(m.vectors.get(row))?;
-            row_keys.push(key);
-            for (ci, (name, _)) in self.schema.columns.iter().enumerate() {
-                cols[ci].push(m.attrs.column(name)?.get(row).clone());
-            }
-            if let (Some(ix), Some(col)) = (text.as_mut(), text_col) {
-                ix.push_doc(text_of(m.attrs.column(col)?.get(row)));
-            }
-        }
+    /// Durably replace the snapshot file with the checkpoint of `m`.
+    fn write_checkpoint(&self, m: &Main) -> Result<()> {
+        let path = self
+            .snapshot_path()
+            .expect("durable collection has a wal_dir");
+        snapshot::write_checkpoint(&path, &self.checkpoint_of(m)?)
+    }
+
+    /// The checkpoint of a main part, the one builder behind both the
+    /// snapshot file and the replica-bootstrap snapshot. A main part is
+    /// never mutated, so its rows are exactly its index's and its text
+    /// index's rows: columns are copied whole, and the serialized text
+    /// index and the index image (when the family has one) ride along.
+    fn checkpoint_of(&self, m: &Main) -> Result<Checkpoint> {
         let columns = self
             .schema
             .columns
             .iter()
-            .zip(cols)
-            .map(|((name, ty), values)| SnapshotColumn {
-                name: name.clone(),
-                ty: *ty,
-                values,
+            .map(|(name, ty)| {
+                Ok(SnapshotColumn {
+                    name: name.clone(),
+                    ty: *ty,
+                    values: m.attrs.column(name)?.values().to_vec(),
+                })
             })
-            .collect();
-        let index = match &m.index {
-            Some(index) if m.dead_rows == 0 => index.image(),
-            _ => None,
-        };
+            .collect::<Result<Vec<_>>>()?;
         Ok(Checkpoint {
             snapshot: Snapshot {
                 fingerprint: self.cfg.index.fingerprint(),
-                row_keys,
-                vectors,
+                row_keys: m.row_keys.clone(),
+                vectors: m.vectors.clone(),
                 columns,
-                text: text.map(|t| t.encode()),
+                text: m.text.as_ref().map(TextIndex::encode),
             },
-            index,
+            index: m.index.as_ref().and_then(|i| i.image()),
         })
     }
 }
@@ -2109,7 +1884,7 @@ mod tests {
 
     #[test]
     fn shadowed_count_stays_consistent() {
-        // Exercises every transition the incremental counter handles;
+        // Exercises every transition the shadowed-row counter handles;
         // len()'s debug_assert cross-checks against a full rescan.
         let mut c = Collection::create(schema(), small_cfg()).unwrap();
         for i in 0..8u64 {
@@ -2230,46 +2005,5 @@ mod tests {
         assert_eq!(c.stats().buffered, 0);
         c.insert(10, &vec_at(10.0), &[]).unwrap();
         assert_eq!(c.len(), 11);
-    }
-
-    #[test]
-    fn incremental_mode_applies_in_place() {
-        let mut c = Collection::create(
-            schema(),
-            CollectionConfig {
-                merge_mode: MergeMode::Incremental,
-                ..small_cfg()
-            },
-        )
-        .unwrap();
-        // First merge has no index yet: falls back to a full build.
-        for i in 0..8u64 {
-            c.insert(i, &vec_at(i as f32), &[]).unwrap();
-        }
-        assert_eq!(c.stats().merges, 1);
-        assert_eq!(c.stats().index_name, "flat");
-        // Subsequent batches patch the flat index in place: upserts,
-        // an overwrite, and a delete.
-        for i in 8..16u64 {
-            c.insert(i, &vec_at(i as f32), &[]).unwrap();
-        }
-        assert_eq!(c.stats().merges, 2);
-        c.insert(3, &vec_at(300.0), &[]).unwrap();
-        c.delete(5).unwrap();
-        c.merge().unwrap();
-        assert_eq!(c.stats().merges, 3);
-        assert_eq!(c.stats().buffered, 0);
-        assert_eq!(c.len(), 15);
-        assert!(c.get(5).is_none());
-        assert_eq!(c.get(3).unwrap(), vec_at(300.0));
-        let hits = c
-            .search(&vec_at(300.0), 1, &SearchParams::default())
-            .unwrap();
-        assert_eq!(hits[0].key, 3);
-        let hits = c
-            .search(&vec_at(5.0), 15, &SearchParams::default())
-            .unwrap();
-        assert!(hits.iter().all(|h| h.key != 5), "deleted row surfaced");
-        assert_eq!(hits.len(), 15);
     }
 }

@@ -86,10 +86,10 @@ fn sweep(
     sweep_mode(name, threshold, MergeMode::Blocking, setup, op)
 }
 
-/// Same sweep under a chosen merge mode. Background/Incremental sweeps
-/// keep the threshold above the row count so the maintenance worker is
-/// never nudged: `merge()` then runs inline on the test thread, where
-/// the thread-local failpoints are armed, making every crash point
+/// Same sweep under a chosen merge mode. Background sweeps keep the
+/// threshold above the row count so the maintenance worker is never
+/// nudged: `merge()` then runs inline on the test thread, where the
+/// thread-local failpoints are armed, making every crash point
 /// deterministic.
 fn sweep_mode(
     name: &str,
@@ -267,29 +267,6 @@ fn crash_sweep_delete_with_background_merge_enabled() {
         MergeMode::Background,
         |c| insert_n(c, 6),
         |c| c.delete(3),
-    );
-}
-
-#[test]
-fn crash_sweep_incremental_merge_over_existing_index() {
-    // Incremental mode patches the published index in place, then makes
-    // the result durable (snapshot + WAL reset). A crash between
-    // publication and checkpoint must recover from the OLD snapshot plus
-    // the full WAL — same logical state, different physical path.
-    sweep_mode(
-        "merge-incremental",
-        1000,
-        MergeMode::Incremental,
-        |c| {
-            insert_n(c, 10);
-            c.merge().unwrap(); // first merge: full build seeds the index
-            c.insert(20, &vec_at(20.0), &[("tag", "late".into())])
-                .unwrap();
-            c.insert(3, &vec_at(33.0), &[("tag", "shadow".into())])
-                .unwrap();
-            c.delete(7).unwrap();
-        },
-        |c| c.merge(),
     );
 }
 

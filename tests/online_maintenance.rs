@@ -244,11 +244,7 @@ fn searches_stay_exact_across_twenty_background_merges() {
 /// tombstoned key must never surface, before or after maintenance.
 #[test]
 fn collection_delete_then_search_under_every_merge_mode() {
-    for mode in [
-        MergeMode::Blocking,
-        MergeMode::Incremental,
-        MergeMode::Background,
-    ] {
+    for mode in [MergeMode::Blocking, MergeMode::Background] {
         let schema = CollectionSchema::new("del", 4, Metric::Euclidean);
         let cfg = CollectionConfig {
             index: IndexSpec::Flat,
