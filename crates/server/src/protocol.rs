@@ -164,7 +164,7 @@ pub struct WireCollectionStats {
     pub merge_threshold: u64,
     /// Buffer bound for background-mode admission control.
     pub max_buffer: u64,
-    /// Active merge mode ("blocking", "incremental", or "background").
+    /// Active merge mode ("blocking" or "background").
     pub merge_mode: String,
     /// Merges currently executing.
     pub rebuilds_in_flight: u64,
