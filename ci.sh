@@ -47,6 +47,9 @@ cargo test -q --release --test online_maintenance
 
 echo "== serving layer: loopback server integration =="
 # Real sockets on 127.0.0.1: N concurrent clients get correct results,
+# every client request (VQL and plain writes included) runs under the
+# database's shared lock, so an INSERT completes while a reader holds
+# the database, and only replica applies/installs take it exclusively,
 # served hits are bit-identical to in-process search, overload past
 # max_queue is answered BUSY (not queued), the bulk lane sheds before
 # interactive search, per-collection token buckets throttle, a
@@ -59,6 +62,17 @@ echo "== serving layer: loopback server integration =="
 # 200-connection slow-loris trickle without blocking other clients.
 cargo test -q --release --test serving
 cargo test -q --release -p vdb-server --test protocol_robustness
+
+echo "== hostile requests: bounded allocation and recursion =="
+# One well-formed request must never take the server down for everyone:
+# k = u32::MAX on OP_SEARCH, OP_SEARCH_BATCH, OP_HYBRID_SEARCH and OP_VQL
+# gets every live row in exact order (no reservation past the rows a
+# search can return), 2,000 nested parentheses and 10,000 chained NOTs
+# get a positioned parse error (vql::MAX_PREDICATE_DEPTH), and a ping
+# answers after each. Debug too: its deeper frames are the stack's
+# worst case.
+cargo test -q --release --test hostile_requests
+cargo test -q --test hostile_requests
 
 echo "== replication: torn-stream sweep, bootstrap convergence, failover drill =="
 # The replicated write path (DESIGN.md §14): the shipping codec survives

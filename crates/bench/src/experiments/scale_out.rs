@@ -96,7 +96,7 @@ pub fn f6_out_of_place_updates(scale: Scale) -> Result<()> {
 
     // Strategy A: out-of-place (update buffer, merge every `merge_threshold`).
     let mut rows = Vec::new();
-    let mut c = Collection::create(
+    let c = Collection::create(
         CollectionSchema::new("f6", w.data.dim(), Metric::Euclidean),
         CollectionConfig {
             index: IndexSpec::parse("hnsw")?,

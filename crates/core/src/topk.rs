@@ -161,7 +161,6 @@ pub fn top_k_by_sort(mut candidates: Vec<Neighbor>, k: usize) -> Vec<Neighbor> {
 /// (the scatter-gather reduce step). Deduplicates by id, keeping the best
 /// distance.
 pub fn merge_sorted_topk(lists: &[Vec<Neighbor>], k: usize) -> Vec<Neighbor> {
-    let mut out = TopK::new(k.max(1));
     let mut seen = std::collections::HashMap::new();
     for list in lists {
         for &n in list {
@@ -173,6 +172,9 @@ pub fn merge_sorted_topk(lists: &[Vec<Neighbor>], k: usize) -> Vec<Neighbor> {
             }
         }
     }
+    // The selector never holds more than the distinct ids offered, so a
+    // caller's `k` reserves nothing past them.
+    let mut out = TopK::new(k.min(seen.len()).max(1));
     for (id, dist) in seen {
         out.push(Neighbor::new(id, dist));
     }

@@ -320,7 +320,8 @@ impl TextIndex {
         // DAAT visits docs in ascending id order, so an incoming doc
         // only displaces the worst entry on a strictly better score —
         // equal scores lose to the earlier doc.
-        let mut heap: Vec<(f32, u32)> = Vec::with_capacity(k);
+        // Never more entries than documents, whatever `k` asks for.
+        let mut heap: Vec<(f32, u32)> = Vec::with_capacity(k.min(self.doc_lens.len()));
         loop {
             cursors.retain(|c| !c.done);
             if cursors.is_empty() {

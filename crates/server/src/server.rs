@@ -47,10 +47,10 @@ use std::collections::HashMap;
 use std::collections::VecDeque;
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, RwLock};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use vdb::{CollectionSchema, HybridResult, IndexSpec, Predicate, SearchHit, Vdbms, VqlOutput};
+use vdb::{CollectionSchema, HybridResult, IndexSpec, Predicate, Vdbms, VqlOutput};
 use vdb_core::error::{Error, Result};
 use vdb_core::index::SearchParams;
 use vdb_distributed::ClusterManifest;
@@ -355,7 +355,9 @@ struct ClusterNode {
 }
 
 struct Shared {
-    db: RwLock<Vdbms>,
+    /// Shared by every client request (collections order their writers);
+    /// exclusive for replica applies and installs and `with_db_mut`.
+    db: vdb_core::sync::RwLock<Vdbms>,
     cfg: ServerConfig,
     queue: Mutex<Lanes>,
     /// Signals executors on enqueue and on shutdown.
@@ -397,10 +399,7 @@ fn lock_queue(shared: &Shared) -> MutexGuard<'_, Lanes> {
 
 impl Shared {
     fn snapshot(&self) -> ServerStatsSnapshot {
-        let maint = match self.db.read() {
-            Ok(db) => db.maintenance_stats(),
-            Err(poisoned) => poisoned.into_inner().maintenance_stats(),
-        };
+        let maint = self.db.read().maintenance_stats();
         let (interactive_depth, bulk_depth) = {
             let lanes = lock_queue(self);
             (lanes.interactive.len() as u64, lanes.bulk.len() as u64)
@@ -604,19 +603,22 @@ impl ServerHandle {
             .map(|n| n.manifest.clone())
     }
 
-    /// Run `f` against the served database under the write lock, with
-    /// every wire request excluded for the duration. This is the hook
-    /// replication setup uses to export a bootstrap state and install
-    /// the shipping sink *atomically* — no write can slip between the
-    /// two and go unshipped.
+    /// Run `f` against the served database under the exclusive lock,
+    /// with every wire request excluded for the duration. This is the
+    /// hook replication setup uses to export a bootstrap state and
+    /// install the shipping sink *atomically*: a client write holds the
+    /// shared lock for its whole call, so none can slip between the two
+    /// and go unshipped.
     pub fn with_db_mut<R>(&self, f: impl FnOnce(&mut Vdbms) -> R) -> R {
-        f(&mut write_db(self.shared()))
+        f(&mut self.shared().db.write())
     }
 
-    /// Run `f` against the served database under the read lock: wire
-    /// reads proceed alongside it, wire writes wait until it returns.
+    /// Run `f` against the served database under the shared lock: wire
+    /// reads and client writes (inserts, deletes, checkpoints, VQL)
+    /// proceed alongside it; only replica applies and installs wait
+    /// until it returns.
     pub fn with_db<R>(&self, f: impl FnOnce(&Vdbms) -> R) -> R {
-        f(&read_db(self.shared()))
+        f(&self.shared().db.read())
     }
 
     /// Track a replicator for the stats plane (see `Shared::replicators`).
@@ -651,10 +653,7 @@ impl ServerHandle {
         let shared = self.shared.take().expect("shutdown runs once");
         let shared = Arc::try_unwrap(shared)
             .unwrap_or_else(|_| panic!("all server threads joined; no other owners"));
-        match shared.db.into_inner() {
-            Ok(db) => db,
-            Err(poisoned) => poisoned.into_inner(),
-        }
+        shared.db.into_inner()
     }
 
     fn begin_stop(&self) {
@@ -694,7 +693,7 @@ pub fn serve(db: Vdbms, addr: impl ToSocketAddrs, cfg: ServerConfig) -> Result<S
     listener.set_nonblocking(true)?;
     let (waker, wake_rx) = net::Waker::pair()?;
     let shared = Arc::new(Shared {
-        db: RwLock::new(db),
+        db: vdb_core::sync::RwLock::new(db),
         cfg: cfg.clone(),
         queue: Mutex::new(Lanes::default()),
         wake: Condvar::new(),
@@ -850,7 +849,9 @@ fn run_coalesced(shared: &Shared, head: Job) {
         drain(&mut lanes, &mut batch, &mut queries);
     }
     let refs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-    let result = read_db(shared)
+    let result = shared
+        .db
+        .read()
         .collection(&collection)
         .and_then(|c| c.search_batch(&refs, k as usize, &params));
     match result {
@@ -916,22 +917,9 @@ fn vql_response(output: VqlOutput) -> Response {
     }
 }
 
-fn read_db(shared: &Shared) -> std::sync::RwLockReadGuard<'_, Vdbms> {
-    match shared.db.read() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
-fn write_db(shared: &Shared) -> std::sync::RwLockWriteGuard<'_, Vdbms> {
-    match shared.db.write() {
-        Ok(g) => g,
-        Err(poisoned) => poisoned.into_inner(),
-    }
-}
-
 /// Execute one non-coalesced request against the database.
 fn execute(shared: &Shared, request: &Request) -> Response {
+    let db = || shared.db.read();
     let result: Result<Response> = (|| {
         Ok(match request {
             Request::Ping => Response::Pong,
@@ -948,8 +936,7 @@ fn execute(shared: &Shared, request: &Request) -> Response {
                 }
                 let attr_refs: Vec<(&str, vdb_core::attr::AttrValue)> =
                     attrs.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-                write_db(shared)
-                    .collection_mut(collection)?
+                db().collection(collection)?
                     .insert(*key, vector, &attr_refs)?;
                 Response::Done
             }
@@ -957,7 +944,7 @@ fn execute(shared: &Shared, request: &Request) -> Response {
                 if let Some(addr) = shared.redirect_for(collection, *key) {
                     return Ok(Response::Redirect { addr });
                 }
-                write_db(shared).collection_mut(collection)?.delete(*key)?;
+                db().collection(collection)?.delete(*key)?;
                 Response::Done
             }
             Request::Search {
@@ -966,10 +953,9 @@ fn execute(shared: &Shared, request: &Request) -> Response {
                 params,
                 query,
             } => {
-                let hits: Vec<SearchHit> =
-                    read_db(shared)
-                        .collection(collection)?
-                        .search(query, *k as usize, params)?;
+                let hits = db()
+                    .collection(collection)?
+                    .search(query, *k as usize, params)?;
                 Response::Hits(hits)
             }
             Request::SearchBatch {
@@ -979,12 +965,9 @@ fn execute(shared: &Shared, request: &Request) -> Response {
                 queries,
             } => {
                 let refs: Vec<&[f32]> = queries.iter().map(|q| q.as_slice()).collect();
-                let lists = read_db(shared).collection(collection)?.search_batch(
-                    &refs,
-                    *k as usize,
-                    params,
-                )?;
-                Response::HitsBatch(lists)
+                let db = db();
+                let c = db.collection(collection)?;
+                Response::HitsBatch(c.search_batch(&refs, *k as usize, params)?)
             }
             Request::HybridSearch {
                 collection,
@@ -995,7 +978,7 @@ fn execute(shared: &Shared, request: &Request) -> Response {
                 fusion,
                 strategy,
             } => {
-                let result = read_db(shared).collection(collection)?.hybrid_text_search(
+                let result = db().collection(collection)?.hybrid_text_search(
                     query,
                     text,
                     *k as usize,
@@ -1008,18 +991,12 @@ fn execute(shared: &Shared, request: &Request) -> Response {
             }
             Request::Vql { statement } => {
                 // Parsed before any lock: a malformed statement is
-                // answered without waiting on the database, and reads
-                // share it instead of serializing behind one another.
+                // answered without waiting on the database.
                 let statement = vdb::parse_vql(statement)?;
-                let output = if statement.is_read() {
-                    read_db(shared).execute_read(&statement)?
-                } else {
-                    write_db(shared).execute_statement(statement)?
-                };
-                vql_response(output)
+                vql_response(db().execute_statement(&statement)?)
             }
             Request::Checkpoint { collection } => {
-                let mut db = write_db(shared);
+                let db = db();
                 if collection.is_empty() {
                     db.checkpoint_all()?;
                 } else {
@@ -1028,7 +1005,7 @@ fn execute(shared: &Shared, request: &Request) -> Response {
                 Response::Done
             }
             Request::Stats { collection } => {
-                let db = read_db(shared);
+                let db = db();
                 let stats = db.collection(collection)?.stats();
                 Response::Stats(WireCollectionStats {
                     live: stats.live as u64,
@@ -1045,17 +1022,21 @@ fn execute(shared: &Shared, request: &Request) -> Response {
                 })
             }
             Request::ReplApply { collection, stream } => {
-                let lsn = write_db(shared)
+                // Exclusive: each record's LSN check and its apply must
+                // not be split by another write.
+                let lsn = shared
+                    .db
+                    .write()
                     .collection_mut(collection)?
                     .apply_replication_stream(stream)?;
                 Response::ReplState { lsn }
             }
             Request::ReplStatus { collection } => {
-                let lsn = read_db(shared).collection(collection)?.replication_lsn();
+                let lsn = db().collection(collection)?.replication_lsn();
                 Response::ReplState { lsn }
             }
             Request::ReplSnapshot { collection } => {
-                let db = read_db(shared);
+                let db = db();
                 let c = db.collection(collection)?;
                 let schema = c.schema();
                 let (lsn, snapshot, tail) = c.export_replica_state()?;
@@ -1069,7 +1050,9 @@ fn execute(shared: &Shared, request: &Request) -> Response {
                 })
             }
             Request::ReplInstall { collection, state } => {
-                let mut db = write_db(shared);
+                // Exclusive: the install resets the buffer and detaches
+                // the WAL under every other request.
+                let mut db = shared.db.write();
                 if db.collection(collection).is_err() {
                     // First contact: create the collection from the
                     // shipped schema. Replicas index with Flat — exact,

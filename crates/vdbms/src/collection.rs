@@ -400,15 +400,8 @@ impl Collection {
         if let Some(ckpt) = ckpt {
             c.install_snapshot(ckpt, &BuildOptions::default())?;
         }
-        for rec in records {
-            match rec {
-                WalRecord::Insert { key, vector, attrs } => {
-                    let attr_refs: Vec<(&str, AttrValue)> =
-                        attrs.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-                    c.insert_impl(key, &vector, &attr_refs, true)?;
-                }
-                WalRecord::Delete { key } => c.delete(key)?,
-            }
+        for rec in &records {
+            c.apply(rec)?;
         }
         c.inner.pending.lock().wal = Some(Wal::open(&wal_path)?);
         c.start_maintenance();
@@ -555,20 +548,15 @@ impl Collection {
 
     /// Insert (or overwrite) `key`. Attributes not listed default to NULL.
     ///
-    /// In [`MergeMode::Background`], a full buffer makes this fail fast
-    /// with [`Error::Busy`] (admission control) instead of stalling the
-    /// writer behind a rebuild.
-    pub fn insert(&mut self, key: u64, vector: &[f32], attrs: &[(&str, AttrValue)]) -> Result<()> {
-        self.insert_impl(key, vector, attrs, false)
-    }
-
-    fn insert_impl(
-        &self,
-        key: u64,
-        vector: &[f32],
-        attrs: &[(&str, AttrValue)],
-        replaying: bool,
-    ) -> Result<()> {
+    /// Takes `&self`, like every mutator: the collection's write-side lock
+    /// orders WAL append + sync, LSN, buffer put and replication ship, so
+    /// writers need no exclusion from searches or from each other.
+    ///
+    /// With a maintenance worker ([`MergeMode::Background`]) a full buffer
+    /// fails fast with [`Error::Busy`] (admission control) instead of
+    /// stalling the writer; without one (blocking mode, log replay) the
+    /// buffer is merged inline.
+    pub fn insert(&self, key: u64, vector: &[f32], attrs: &[(&str, AttrValue)]) -> Result<()> {
         let inner = &self.inner;
         if vector.len() != inner.schema.dim {
             return Err(Error::DimensionMismatch {
@@ -591,14 +579,10 @@ impl Collection {
             .iter()
             .map(|(n, v)| (n.to_string(), v.clone()))
             .collect();
-        // Replay applies merges inline regardless of mode: the worker is
-        // not running yet and backpressure must not reject logged writes.
-        let background = inner.cfg.merge_mode == MergeMode::Background && !replaying;
-        let sink = if replaying {
-            None
-        } else {
-            inner.repl.lock().clone()
-        };
+        // Replay runs with no worker, so it merges inline and backpressure
+        // never rejects a logged write.
+        let background = self.worker.is_some();
+        let sink = inner.repl.lock().clone();
         let over = {
             let mut p = inner.pending.lock();
             if background && p.buffer.len() >= inner.max_buffer() {
@@ -642,8 +626,9 @@ impl Collection {
         Ok(())
     }
 
-    /// Delete `key` (tombstone; space reclaimed at the next merge).
-    pub fn delete(&mut self, key: u64) -> Result<()> {
+    /// Delete `key` (tombstone; space reclaimed at the next merge). Takes
+    /// `&self` under the same write-side lock as [`Collection::insert`].
+    pub fn delete(&self, key: u64) -> Result<()> {
         let inner = &self.inner;
         let sink = inner.repl.lock().clone();
         let mut p = inner.pending.lock();
@@ -740,15 +725,17 @@ impl Collection {
     /// "applying them in bulk at a more appropriate time") under the
     /// active [`MergeMode`], then checkpoint when durable. When this
     /// returns, every previously-acknowledged write is reflected by the
-    /// published index.
-    pub fn merge(&mut self) -> Result<()> {
+    /// published index. Takes `&self`: merges serialize on the merge gate
+    /// and publish by swap, so searches and writes continue throughout.
+    pub fn merge(&self) -> Result<()> {
         self.inner.merge_now(false).map(|_| ())
     }
 
     /// Durably checkpoint the collection: fold any buffered updates into
     /// the main part, write an atomic snapshot of the merged state, and
     /// retire the merged WAL prefix. Requires durability (`wal_dir`).
-    pub fn checkpoint(&mut self) -> Result<()> {
+    /// Takes `&self`, like [`Collection::merge`].
+    pub fn checkpoint(&self) -> Result<()> {
         if self.inner.pending.lock().wal.is_none() {
             return Err(Error::Unsupported(
                 "checkpoint requires a collection with wal_dir".into(),
@@ -803,15 +790,21 @@ impl Collection {
                 "replication gap: replica at LSN {applied}, received {lsn}"
             )));
         }
+        self.apply(record)?;
+        Ok(true)
+    }
+
+    /// Apply one logged mutation as a write: WAL replay, a replica's
+    /// bootstrap tail and replicated records all go through here.
+    fn apply(&self, record: &WalRecord) -> Result<()> {
         match record {
             WalRecord::Insert { key, vector, attrs } => {
                 let attr_refs: Vec<(&str, AttrValue)> =
                     attrs.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-                self.insert_impl(*key, vector, &attr_refs, false)?;
+                self.insert(*key, vector, &attr_refs)
             }
-            WalRecord::Delete { key } => self.delete(*key)?,
+            WalRecord::Delete { key } => self.delete(*key),
         }
-        Ok(true)
     }
 
     /// Apply a shipped replication stream ([`vdb_storage::ship_record`]
@@ -866,9 +859,11 @@ impl Collection {
         let disk_ckpt = ckpt.clone();
         let build = self.inner.cfg.build.clone();
         self.install_snapshot(ckpt, &build)?;
-        // Reset the write side and detach WAL + sink for the tail replay
-        // (the replay must neither re-log records the WAL rewrite below
-        // will install wholesale, nor ship them back out).
+        // Reset the write side and detach WAL, sink and worker handle for
+        // the tail replay: it must neither re-log records the WAL rewrite
+        // below installs wholesale nor ship them back out, and it merges
+        // inline, never refused Busy (the merge gate orders the worker).
+        let worker = self.worker.take();
         let (wal, sink) = {
             let mut p = self.inner.pending.lock();
             p.buffer = Buffer::new(self.inner.schema.dim);
@@ -876,20 +871,8 @@ impl Collection {
             p.lsn = 0;
             (p.wal.take(), self.inner.repl.lock().take())
         };
-        let mut replay_result = Ok(());
-        for rec in &tail {
-            replay_result = match rec {
-                WalRecord::Insert { key, vector, attrs } => {
-                    let attr_refs: Vec<(&str, AttrValue)> =
-                        attrs.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-                    self.insert_impl(*key, vector, &attr_refs, true)
-                }
-                WalRecord::Delete { key } => self.delete(*key),
-            };
-            if replay_result.is_err() {
-                break;
-            }
-        }
+        let replay_result = tail.iter().try_for_each(|rec| self.apply(rec));
+        self.worker = worker;
         {
             let mut p = self.inner.pending.lock();
             p.wal = wal;
@@ -994,7 +977,10 @@ impl Collection {
         // attributes. Score every live buffered row (the buffer is
         // bounded) so a selective predicate cannot starve the result.
         let p = self.inner.pending.lock();
+        let m = self.inner.main.read(); // pin before releasing `pending`
         let shadowed = p.shadowed;
+        // No answer exceeds every row: the caller's `k` sizes nothing more.
+        let k = k.min(p.buffer.len() + m.vectors.len());
         // Room for every buffered hit and every main hit fetched below.
         let mut hits = Vec::with_capacity(p.buffer.len() + k + shadowed);
         hits.extend(
@@ -1003,7 +989,6 @@ impl Collection {
                 .map(|(key, dist, _)| SearchHit { key, dist }),
         );
         let hidden: HashSet<u64> = p.buffer.hidden().collect();
-        let m = self.inner.main.read(); // pin before releasing `pending`
         drop(p);
 
         // Main part: over-fetch to survive shadowed rows. `shadowed` is
@@ -1080,9 +1065,6 @@ impl Collection {
             });
         }
         let mut sctx = self.contexts.acquire();
-        // Over-fetch per retriever: fusion ranks the union, so each side
-        // contributes a candidate pool a few multiples of k deep.
-        let m_over = (4 * k).max(32);
 
         // --- one consistent view: buffer under the pending lock, main
         // pinned before that lock drops (same dance as vector search).
@@ -1105,6 +1087,11 @@ impl Collection {
         let shadowed = p.shadowed;
         let m = self.inner.main.read(); // pin before releasing `pending`
         drop(p);
+        // As in vector search: no answer holds more than every row.
+        let k = k.min(buf.len() + m.row_keys.len());
+        // Over-fetch per retriever: fusion ranks the union, so each side
+        // contributes a candidate pool a few multiples of k deep.
+        let m_over = (4 * k).max(32);
 
         let text_ix = m.text.as_ref().expect("text column implies text index");
         let terms = text_ix.query_terms(query);
@@ -1296,11 +1283,6 @@ impl Collection {
         hits.sort_by(|a, b| a.dist.total_cmp(&b.dist).then(a.key.cmp(&b.key)));
         hits.dedup_by_key(|h| h.key);
         Ok(hits)
-    }
-
-    /// Access the planner (profile configuration).
-    pub fn planner_mut(&mut self) -> &mut Planner {
-        &mut self.planner
     }
 
     /// Exact selectivity of a predicate over the indexed part
@@ -1619,7 +1601,7 @@ mod tests {
 
     #[test]
     fn batched_search_matches_per_query() {
-        let mut c = Collection::create(schema(), small_cfg()).unwrap();
+        let c = Collection::create(schema(), small_cfg()).unwrap();
         // 30 inserts with threshold 8: main part + live buffer both populated.
         for i in 0..30u64 {
             c.insert(i, &vec_at(i as f32), &[("score", AttrValue::Int(i as i64))])
@@ -1637,7 +1619,7 @@ mod tests {
 
     #[test]
     fn insert_search_before_any_merge() {
-        let mut c = Collection::create(schema(), small_cfg()).unwrap();
+        let c = Collection::create(schema(), small_cfg()).unwrap();
         for i in 0..5u64 {
             c.insert(i, &vec_at(i as f32), &[]).unwrap();
         }
@@ -1649,7 +1631,7 @@ mod tests {
 
     #[test]
     fn merge_triggers_and_results_stay_correct() {
-        let mut c = Collection::create(schema(), small_cfg()).unwrap();
+        let c = Collection::create(schema(), small_cfg()).unwrap();
         for i in 0..20u64 {
             c.insert(i, &vec_at(i as f32), &[]).unwrap();
         }
@@ -1663,7 +1645,7 @@ mod tests {
 
     #[test]
     fn read_your_writes_and_overwrites() {
-        let mut c = Collection::create(schema(), small_cfg()).unwrap();
+        let c = Collection::create(schema(), small_cfg()).unwrap();
         for i in 0..10u64 {
             c.insert(i, &vec_at(i as f32), &[]).unwrap();
         }
@@ -1681,7 +1663,7 @@ mod tests {
 
     #[test]
     fn delete_then_merge_reclaims() {
-        let mut c = Collection::create(schema(), small_cfg()).unwrap();
+        let c = Collection::create(schema(), small_cfg()).unwrap();
         for i in 0..10u64 {
             c.insert(i, &vec_at(i as f32), &[]).unwrap();
         }
@@ -1699,7 +1681,7 @@ mod tests {
 
     #[test]
     fn hybrid_search_with_attributes() {
-        let mut c = Collection::create(schema(), small_cfg()).unwrap();
+        let c = Collection::create(schema(), small_cfg()).unwrap();
         for i in 0..30u64 {
             let tag = if i % 2 == 0 { "even" } else { "odd" };
             c.insert(
@@ -1726,7 +1708,7 @@ mod tests {
 
     #[test]
     fn explicit_strategy_override() {
-        let mut c = Collection::create(schema(), small_cfg()).unwrap();
+        let c = Collection::create(schema(), small_cfg()).unwrap();
         for i in 0..20u64 {
             c.insert(i, &vec_at(i as f32), &[("score", (i as i64).into())])
                 .unwrap();
@@ -1742,7 +1724,7 @@ mod tests {
 
     #[test]
     fn schema_validation_on_insert() {
-        let mut c = Collection::create(schema(), small_cfg()).unwrap();
+        let c = Collection::create(schema(), small_cfg()).unwrap();
         assert!(c.insert(0, &[1.0], &[]).is_err(), "wrong dim");
         assert!(
             c.insert(0, &vec_at(0.0), &[("ghost", 1i64.into())])
@@ -1765,7 +1747,7 @@ mod tests {
             ..small_cfg()
         };
         {
-            let mut c = Collection::create(schema(), cfg.clone()).unwrap();
+            let c = Collection::create(schema(), cfg.clone()).unwrap();
             for i in 0..12u64 {
                 c.insert(i, &vec_at(i as f32), &[]).unwrap();
             }
@@ -1790,7 +1772,7 @@ mod tests {
             ..small_cfg()
         };
         {
-            let mut c = Collection::create(schema(), cfg.clone()).unwrap();
+            let c = Collection::create(schema(), cfg.clone()).unwrap();
             for i in 0..5u64 {
                 let tag = if i % 2 == 0 { "even" } else { "odd" };
                 c.insert(
@@ -1824,7 +1806,7 @@ mod tests {
             wal_dir: Some(dir.path().to_path_buf()),
             ..small_cfg()
         };
-        let mut c = Collection::create(schema(), cfg.clone()).unwrap();
+        let c = Collection::create(schema(), cfg.clone()).unwrap();
         for i in 0..8u64 {
             c.insert(i, &vec_at(i as f32), &[("score", (i as i64).into())])
                 .unwrap();
@@ -1862,7 +1844,7 @@ mod tests {
 
     #[test]
     fn explicit_checkpoint_requires_and_uses_wal() {
-        let mut c = Collection::create(schema(), small_cfg()).unwrap();
+        let c = Collection::create(schema(), small_cfg()).unwrap();
         assert!(matches!(c.checkpoint(), Err(Error::Unsupported(_))));
 
         let dir = TempDir::new("coll-ckpt2").unwrap();
@@ -1870,7 +1852,7 @@ mod tests {
             wal_dir: Some(dir.path().to_path_buf()),
             ..small_cfg()
         };
-        let mut c = Collection::create(schema(), cfg.clone()).unwrap();
+        let c = Collection::create(schema(), cfg.clone()).unwrap();
         for i in 0..3u64 {
             c.insert(i, &vec_at(i as f32), &[]).unwrap();
         }
@@ -1886,7 +1868,7 @@ mod tests {
     fn shadowed_count_stays_consistent() {
         // Exercises every transition the shadowed-row counter handles;
         // len()'s debug_assert cross-checks against a full rescan.
-        let mut c = Collection::create(schema(), small_cfg()).unwrap();
+        let c = Collection::create(schema(), small_cfg()).unwrap();
         for i in 0..8u64 {
             c.insert(i, &vec_at(i as f32), &[]).unwrap(); // triggers merge at 8
         }
@@ -1914,7 +1896,7 @@ mod tests {
     #[test]
     fn hnsw_backed_collection() {
         let mut rng = Rng::seed_from_u64(160);
-        let mut c = Collection::create(
+        let c = Collection::create(
             CollectionSchema::new("vecs", 8, Metric::Euclidean),
             CollectionConfig {
                 merge_threshold: 64,
@@ -1939,7 +1921,7 @@ mod tests {
 
     #[test]
     fn background_merge_drains_and_preserves_search() {
-        let mut c = Collection::create(
+        let c = Collection::create(
             schema(),
             CollectionConfig {
                 merge_mode: MergeMode::Background,
@@ -1981,7 +1963,7 @@ mod tests {
     fn background_backpressure_returns_busy() {
         // Threshold high enough that the worker is never nudged: the
         // bounded buffer alone must shed load deterministically.
-        let mut c = Collection::create(
+        let c = Collection::create(
             schema(),
             CollectionConfig {
                 index: IndexSpec::Flat,

@@ -116,14 +116,14 @@ impl Vdbms {
 
     /// Durably checkpoint one collection: fold its update buffer into
     /// the main part, snapshot the merged state, truncate its WAL.
-    pub fn checkpoint(&mut self, name: &str) -> Result<()> {
-        self.collection_mut(name)?.checkpoint()
+    pub fn checkpoint(&self, name: &str) -> Result<()> {
+        self.collection(name)?.checkpoint()
     }
 
     /// Checkpoint every collection that has durability enabled (e.g. at
     /// clean shutdown, so the next start replays an empty WAL tail).
-    pub fn checkpoint_all(&mut self) -> Result<()> {
-        for c in self.collections.values_mut() {
+    pub fn checkpoint_all(&self) -> Result<()> {
+        for c in self.collections.values() {
             if c.wal_path().is_some() {
                 c.checkpoint()?;
             }
@@ -178,14 +178,14 @@ impl Vdbms {
     /// Indirect manipulation: embed `text` with the system model and
     /// insert it as entity `key`.
     pub fn insert_text(
-        &mut self,
+        &self,
         collection: &str,
         key: u64,
         text: &str,
         attrs: &[(&str, AttrValue)],
     ) -> Result<()> {
         let vector = self.embedder.embed(text);
-        self.collection_mut(collection)?.insert(key, &vector, attrs)
+        self.collection(collection)?.insert(key, &vector, attrs)
     }
 
     /// Indirect manipulation: embed `text` and search with it.
@@ -201,13 +201,13 @@ impl Vdbms {
     }
 
     /// Parse and execute one VQL statement.
-    pub fn execute(&mut self, statement: &str) -> Result<VqlOutput> {
-        self.execute_statement(vql::parse(statement)?)
+    pub fn execute(&self, statement: &str) -> Result<VqlOutput> {
+        self.execute_statement(&vql::parse(statement)?)
     }
 
-    /// Execute a parsed statement: writes here, reads through
-    /// [`Vdbms::execute_read`].
-    pub fn execute_statement(&mut self, statement: VqlStatement) -> Result<VqlOutput> {
+    /// Execute a parsed statement with shared access: reads and writes
+    /// alike, since each collection orders its own writers.
+    pub fn execute_statement(&self, statement: &VqlStatement) -> Result<VqlOutput> {
         match statement {
             VqlStatement::Insert {
                 collection,
@@ -217,23 +217,14 @@ impl Vdbms {
             } => {
                 let attr_refs: Vec<(&str, AttrValue)> =
                     attrs.iter().map(|(n, v)| (n.as_str(), v.clone())).collect();
-                self.collection_mut(&collection)?
-                    .insert(key, &vector, &attr_refs)?;
+                self.collection(collection)?
+                    .insert(*key, vector, &attr_refs)?;
                 Ok(VqlOutput::Done)
             }
             VqlStatement::Delete { collection, key } => {
-                self.collection_mut(&collection)?.delete(key)?;
+                self.collection(collection)?.delete(*key)?;
                 Ok(VqlOutput::Done)
             }
-            read => self.execute_read(&read),
-        }
-    }
-
-    /// Execute a read statement ([`VqlStatement::is_read`]) with shared
-    /// access, so concurrent readers do not serialize. A write statement
-    /// is refused.
-    pub fn execute_read(&self, statement: &VqlStatement) -> Result<VqlOutput> {
-        match statement {
             VqlStatement::Search {
                 collection,
                 vector,
@@ -275,9 +266,6 @@ impl Vdbms {
             VqlStatement::Count { collection } => {
                 Ok(VqlOutput::Count(self.collection(collection)?.len()))
             }
-            VqlStatement::Insert { .. } | VqlStatement::Delete { .. } => Err(Error::InvalidQuery(
-                "INSERT and DELETE need write access: use Vdbms::execute".into(),
-            )),
         }
     }
 }
@@ -328,7 +316,7 @@ mod tests {
 
     #[test]
     fn vql_end_to_end() {
-        let mut db = db();
+        let db = db();
         for i in 0..20 {
             let stmt = format!(
                 "INSERT INTO docs KEY {i} VALUES [{}.0, 0, 0] SET brand = '{}', price = {}",
@@ -362,7 +350,7 @@ mod tests {
 
     #[test]
     fn vql_strategy_override_runs() {
-        let mut db = db();
+        let db = db();
         for i in 0..10 {
             db.execute(&format!("INSERT INTO docs KEY {i} VALUES [{i}, 0, 0]"))
                 .unwrap();
@@ -410,7 +398,7 @@ mod tests {
 
     #[test]
     fn vql_range_search_end_to_end() {
-        let mut db = db();
+        let db = db();
         for i in 0..10 {
             db.execute(&format!(
                 "INSERT INTO docs KEY {i} VALUES [{i}, 0, 0] SET price = {}",
@@ -500,8 +488,8 @@ mod tests {
     }
 
     #[test]
-    fn reads_run_on_shared_access_and_writes_are_refused_there() {
-        let mut db = db();
+    fn reads_run_on_shared_access() {
+        let db = db();
         for stmt in [
             "INSERT INTO docs KEY 1 VALUES [1, 0, 0] SET price = 10",
             "INSERT INTO docs KEY 2 VALUES [2, 0, 0] SET price = 20",
@@ -516,39 +504,26 @@ mod tests {
             ("SEARCH docs WITHIN 0.5 NEAR [2, 0, 0]", vec![2]),
         ] {
             let stmt = vql::parse(text).unwrap();
-            assert!(stmt.is_read());
             let shared: &Vdbms = &db;
-            match shared.execute_read(&stmt).unwrap() {
+            match shared.execute_statement(&stmt).unwrap() {
                 VqlOutput::Hits(hits) => {
                     assert_eq!(hits.iter().map(|h| h.key).collect::<Vec<_>>(), want)
                 }
                 other => panic!("{text}: expected hits, got {other:?}"),
             }
             assert_eq!(
-                db.execute_read(&stmt).unwrap(),
+                db.execute_statement(&stmt).unwrap(),
                 db.execute(text).unwrap(),
                 "{text}"
             );
         }
         let count = vql::parse("COUNT docs").unwrap();
-        assert_eq!(db.execute_read(&count).unwrap(), VqlOutput::Count(2));
-        for text in [
-            "INSERT INTO docs KEY 3 VALUES [3, 0, 0]",
-            "DELETE FROM docs KEY 1",
-        ] {
-            let stmt = vql::parse(text).unwrap();
-            assert!(!stmt.is_read());
-            assert!(matches!(
-                db.execute_read(&stmt),
-                Err(Error::InvalidQuery(_))
-            ));
-        }
-        assert_eq!(db.execute("COUNT docs").unwrap(), VqlOutput::Count(2));
+        assert_eq!(db.execute_statement(&count).unwrap(), VqlOutput::Count(2));
     }
 
     #[test]
     fn errors_surface() {
-        let mut db = db();
+        let db = db();
         assert!(db.execute("SEARCH ghosts K 1 NEAR [1, 2, 3]").is_err());
         assert!(
             db.execute("SEARCH docs K 1 NEAR [1]").is_err(),

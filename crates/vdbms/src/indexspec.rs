@@ -18,8 +18,7 @@ use vdb_index_graph::{
     NswConfig, NswIndex, VamanaConfig, VamanaIndex,
 };
 use vdb_index_table::{
-    HashFamily, IvfConfig, IvfFlatIndex, IvfPqIndex, IvfSqIndex, LshConfig, LshIndex, SpannConfig,
-    SpannIndex,
+    IvfConfig, IvfFlatIndex, IvfPqIndex, IvfSqIndex, LshConfig, LshIndex, SpannConfig, SpannIndex,
 };
 use vdb_index_tree::{annoy_forest_with, flann_forest_with, kd_tree, pca_tree, rp_forest_with};
 use vdb_quant::{PqConfig, SqBits};
@@ -410,16 +409,6 @@ impl IndexSpec {
         }
         Ok(Some(index))
     }
-}
-
-/// Default LSH spec helper (used by examples).
-pub fn default_lsh() -> IndexSpec {
-    IndexSpec::Lsh(LshConfig {
-        l: 16,
-        k: 10,
-        family: HashFamily::PStable { w: 4.0 },
-        seed: 0x15A4,
-    })
 }
 
 #[cfg(test)]

@@ -101,26 +101,14 @@ pub enum VqlStatement {
     },
 }
 
-impl VqlStatement {
-    /// Whether the statement only reads (`SEARCH` in every form, `COUNT`)
-    /// — what [`Vdbms::execute_read`](crate::Vdbms::execute_read) runs
-    /// under shared access. [`is_read`] answers the same from the text.
-    pub fn is_read(&self) -> bool {
-        !matches!(
-            self,
-            VqlStatement::Insert { .. } | VqlStatement::Delete { .. }
-        )
-    }
-}
-
 /// Statement keywords that only read. The test
 /// `text_classifier_agrees_with_parsed_statements` keeps this in step with
 /// the parser.
 const READ_HEADS: [&str; 2] = ["search", "count"];
 
 /// Whether `statement` only reads, judged from its leading keyword without
-/// parsing it. For every statement that parses this equals
-/// [`VqlStatement::is_read`]; text that does not parse never changes
+/// parsing it. For every statement that parses this is true exactly for
+/// `SEARCH` in every form and `COUNT`; text that does not parse never changes
 /// anything, whatever this says. Serving classifies VQL with it before a
 /// statement is parsed: its queue lane, and whether a client may resend it
 /// after a lost reply.
@@ -252,12 +240,20 @@ fn lex(input: &str) -> Result<Vec<(Tok, usize)>> {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest `(` / `NOT` nesting a predicate may use. The parser and every
+/// consumer of a [`Predicate`] (compile, evaluate, clone, drop) recurse
+/// once per level, so the cap bounds their stack on any thread; deeper
+/// nesting is a parse error at the opener that crosses it.
+pub const MAX_PREDICATE_DEPTH: usize = 64;
+
 struct Parser {
     toks: Vec<(Tok, usize)>,
     pos: usize,
     /// Character length of the input — the position blamed when a
     /// statement ends too early.
     end: usize,
+    /// `(` / `NOT` levels open at the current token.
+    depth: usize,
 }
 
 impl Parser {
@@ -407,14 +403,33 @@ impl Parser {
         })
     }
 
+    /// Open one `(` / `NOT` level at `at`, refusing past
+    /// [`MAX_PREDICATE_DEPTH`] before recursing into it.
+    fn descend(&mut self, at: usize) -> Result<()> {
+        if self.depth == MAX_PREDICATE_DEPTH {
+            return Err(err_at(
+                at,
+                format!("predicate nested deeper than {MAX_PREDICATE_DEPTH} levels"),
+            ));
+        }
+        self.depth += 1;
+        Ok(())
+    }
+
     fn unary_expr(&mut self) -> Result<Predicate> {
+        let at = self.here();
         if self.try_keyword("not") {
-            return Ok(Predicate::Not(Box::new(self.unary_expr()?)));
+            self.descend(at)?;
+            let inner = self.unary_expr()?;
+            self.depth -= 1;
+            return Ok(Predicate::Not(Box::new(inner)));
         }
         if let Some(Tok::Sym("(")) = self.peek() {
+            self.descend(at)?;
             self.pos += 1;
             let inner = self.predicate()?;
             self.sym(")")?;
+            self.depth -= 1;
             return Ok(inner);
         }
         self.atom()
@@ -477,6 +492,7 @@ pub fn parse(input: &str) -> Result<VqlStatement> {
         toks: lex(input)?,
         pos: 0,
         end: input.chars().count(),
+        depth: 0,
     };
     let head = p.ident()?;
     let stmt = if head.eq_ignore_ascii_case("search") {
@@ -962,8 +978,12 @@ mod tests {
         ];
         for (text, read) in forms {
             let stmt = parse(text).unwrap_or_else(|e| panic!("{text}: {e}"));
-            assert_eq!(stmt.is_read(), read, "{text}");
-            assert_eq!(is_read(text), stmt.is_read(), "{text}");
+            let parsed_read = !matches!(
+                stmt,
+                VqlStatement::Insert { .. } | VqlStatement::Delete { .. }
+            );
+            assert_eq!(parsed_read, read, "{text}");
+            assert_eq!(is_read(text), read, "{text}");
         }
         // Every variant is covered above.
         let variants: std::collections::HashSet<_> = forms
@@ -982,6 +1002,53 @@ mod tests {
             assert!(parse(bad).is_err(), "{bad}");
             assert!(!is_read(bad), "{bad}");
         }
+    }
+
+    /// A predicate at the cap parses, compiles, evaluates and drops on the
+    /// default 2 MiB stack of a spawned (server worker) thread; one level
+    /// more is refused at the opener that crosses the cap.
+    #[test]
+    fn predicate_nesting_is_capped() {
+        use vdb_core::attr::AttrType;
+        use vdb_query::CompiledPredicate;
+        use vdb_storage::{AttributeStore, Column};
+        // `depth` openers alternating `NOT` and `(price >= 0 AND `.
+        let nested = |depth: usize| {
+            let mut text = String::from("SEARCH docs K 1 NEAR [1] WHERE ");
+            for level in 0..depth {
+                text += if level % 2 == 0 {
+                    "NOT "
+                } else {
+                    "(price >= 0 AND "
+                };
+            }
+            text + "price > 1" + &")".repeat(depth / 2)
+        };
+        let over = nested(MAX_PREDICATE_DEPTH + 1);
+        match parse(&over) {
+            Err(Error::ParseAt { pos, .. }) => assert_eq!(pos, over.rfind("NOT").unwrap()),
+            other => panic!("expected a positioned parse error, got {other:?}"),
+        }
+        let at_cap = nested(MAX_PREDICATE_DEPTH);
+        let run = move || {
+            let Ok(VqlStatement::Search { predicate, .. }) = parse(&at_cap) else {
+                panic!("expected a search");
+            };
+            let mut attrs = AttributeStore::new();
+            attrs
+                .add_column(Column::new("price", AttrType::Int))
+                .unwrap();
+            for price in [0, 2] {
+                attrs.push_row(&[("price", AttrValue::Int(price))]).unwrap();
+            }
+            let compiled = CompiledPredicate::compile(&predicate, &attrs).unwrap();
+            // Every `price >= 0` holds: what is left is `price > 1` under
+            // one NOT per two levels.
+            let negated = MAX_PREDICATE_DEPTH.div_ceil(2) % 2 == 1;
+            assert_eq!((compiled.eval(0), compiled.eval(1)), (negated, !negated));
+        };
+        let thread = std::thread::Builder::new().stack_size(2 << 20);
+        thread.spawn(run).unwrap().join().unwrap();
     }
 
     #[test]

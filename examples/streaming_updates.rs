@@ -25,7 +25,7 @@ fn main() -> vdb_core::Result<()> {
         ..Default::default()
     };
     let schema = CollectionSchema::new("stream", dim, Metric::Euclidean);
-    let mut c = Collection::create(schema.clone(), cfg.clone())?;
+    let c = Collection::create(schema.clone(), cfg.clone())?;
 
     // Interleave inserts with searches; search latency stays flat because
     // writes land in the update buffer, not the graph.

@@ -466,7 +466,7 @@ fn crash_sweep_checkpoint_preserves_inverted_index() {
             );
             // After one merge the replayed tail is folded and the
             // inverted index answers bit-identically to the reference.
-            let mut r = r;
+            let r = r;
             r.merge().unwrap();
             assert_eq!(
                 hybrid(&r),

@@ -28,7 +28,7 @@ fn every_registry_index_reaches_reasonable_recall_through_the_facade() {
     let (data, queries, gt) = dataset_and_queries();
     for spec in IndexSpec::all_defaults() {
         let name = spec.name();
-        let mut c = Collection::create(
+        let c = Collection::create(
             CollectionSchema::new("zoo", 16, Metric::Euclidean),
             CollectionConfig {
                 index: spec,
@@ -68,7 +68,7 @@ fn every_registry_index_reaches_reasonable_recall_through_the_facade() {
 #[test]
 fn collection_lifecycle_with_attributes_and_updates() {
     let (data, queries, _) = dataset_and_queries();
-    let mut c = Collection::create(
+    let c = Collection::create(
         CollectionSchema::new("life", 16, Metric::Euclidean).column("bucket", AttrType::Int),
         CollectionConfig {
             index: IndexSpec::parse("hnsw").unwrap(),
@@ -117,7 +117,7 @@ fn metrics_other_than_l2_flow_through() {
     let mut data = dataset::gaussian(500, 16, &mut rng);
     data.normalize();
     for metric in [Metric::Cosine, Metric::InnerProduct, Metric::Manhattan] {
-        let mut c = Collection::create(
+        let c = Collection::create(
             CollectionSchema::new("m", 16, metric.clone()),
             CollectionConfig {
                 index: IndexSpec::Flat,

@@ -210,7 +210,7 @@ fn inverted_index_stays_queryable_through_background_merge() {
         .collect();
     let rows_len = rows.len();
 
-    let mut bg = Collection::create(
+    let bg = Collection::create(
         schema(),
         CollectionConfig {
             index: IndexSpec::Flat,
@@ -220,7 +220,7 @@ fn inverted_index_stays_queryable_through_background_merge() {
         },
     )
     .unwrap();
-    let mut reference = Collection::create(
+    let reference = Collection::create(
         schema(),
         CollectionConfig {
             index: IndexSpec::Flat,

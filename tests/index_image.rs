@@ -273,7 +273,7 @@ fn exported_snapshot_equals_the_checkpoint_file() {
     c.delete(9).unwrap();
     drop(c);
 
-    let mut r = Collection::recover(schema(), conf).unwrap();
+    let r = Collection::recover(schema(), conf).unwrap();
     r.checkpoint().unwrap();
     assert_eq!(r.len(), ROWS + 39);
     exported_equals_file(&r, "after recover + checkpoint");

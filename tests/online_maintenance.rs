@@ -4,7 +4,6 @@
 //! searches (no torn or stale-beyond-bound results).
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::RwLock;
 use vdb::{Collection, CollectionConfig, CollectionSchema, IndexSpec, MergeMode};
 use vdb_core::attr::{AttrType, AttrValue};
 use vdb_core::error::Error;
@@ -146,7 +145,7 @@ fn searches_stay_exact_across_twenty_background_merges() {
         merge_mode: MergeMode::Background,
         ..Default::default()
     };
-    let mut c = Collection::create(schema, cfg).unwrap();
+    let c = Collection::create(schema, cfg).unwrap();
     // Static region: keys 0..50, merged into the main index up front so
     // every concurrent search has a known exact answer.
     for i in 0..50u64 {
@@ -161,16 +160,14 @@ fn searches_stay_exact_across_twenty_background_merges() {
     c.merge().unwrap();
     assert_eq!(c.stats().buffered, 0);
 
-    // Server-style sharing: searchers hold read locks; the writer takes
-    // brief write locks per insert. Background rebuilds happen on the
-    // maintenance thread WITHOUT this lock, so searches genuinely overlap
-    // index swaps.
-    let shared = RwLock::new(c);
+    // Server-style sharing: the writer and the searchers share `&c` with
+    // no outer lock, and background rebuilds run on the maintenance
+    // thread, so writes genuinely overlap searches and index swaps.
+    let shared = &c;
     let stop = AtomicBool::new(false);
     let searches = AtomicUsize::new(0);
     std::thread::scope(|s| {
         for t in 0..3 {
-            let shared = &shared;
             let stop = &stop;
             let searches = &searches;
             s.spawn(move || {
@@ -178,11 +175,7 @@ fn searches_stay_exact_across_twenty_background_merges() {
                 let mut i = t as u64;
                 while !stop.load(Ordering::Relaxed) {
                     let key = i % 50;
-                    let hits = shared
-                        .read()
-                        .unwrap()
-                        .search(&vec_at(key as f32), 1, &p)
-                        .unwrap();
+                    let hits = shared.search(&vec_at(key as f32), 1, &p).unwrap();
                     assert_eq!(hits[0].key, key, "search must stay exact mid-merge");
                     assert_eq!(hits[0].dist, 0.0, "distance to own vector is zero");
                     searches.fetch_add(1, Ordering::Relaxed);
@@ -195,11 +188,7 @@ fn searches_stay_exact_across_twenty_background_merges() {
         let mut inserted = 0u64;
         while inserted < 800 {
             let key = 1000 + inserted;
-            let r = shared
-                .write()
-                .unwrap()
-                .insert(key, &vec_at(1000.0 + inserted as f32), &[]);
-            match r {
+            match shared.insert(key, &vec_at(1000.0 + inserted as f32), &[]) {
                 Ok(()) => inserted += 1,
                 Err(Error::Busy) => std::thread::sleep(std::time::Duration::from_millis(1)),
                 Err(e) => panic!("unexpected insert error: {e}"),
@@ -208,14 +197,13 @@ fn searches_stay_exact_across_twenty_background_merges() {
         // Keep searches flowing until the worker has visibly completed
         // 20+ atomic publications.
         for _ in 0..2000 {
-            if shared.read().unwrap().stats().merges >= 20 {
+            if shared.stats().merges >= 20 {
                 break;
             }
             std::thread::sleep(std::time::Duration::from_millis(5));
         }
         stop.store(true, Ordering::Relaxed);
     });
-    let mut c = shared.into_inner().unwrap();
     let s = c.stats();
     assert!(
         s.merges >= 20,
@@ -252,7 +240,7 @@ fn collection_delete_then_search_under_every_merge_mode() {
             merge_mode: mode,
             ..Default::default()
         };
-        let mut c = Collection::create(schema, cfg).unwrap();
+        let c = Collection::create(schema, cfg).unwrap();
         for i in 0..24u64 {
             loop {
                 match c.insert(i, &vec_at(i as f32), &[]) {
@@ -301,7 +289,7 @@ fn overwrite_during_background_merge_survives_it() {
         ..Default::default()
     };
     let data = clustered(n, 0xD13);
-    let mut c = Collection::create(schema.clone(), cfg.clone()).unwrap();
+    let c = Collection::create(schema.clone(), cfg.clone()).unwrap();
     for (key, v) in data.iter().enumerate() {
         c.insert(key as u64, v, &[("tag", AttrValue::Int(1))])
             .unwrap();

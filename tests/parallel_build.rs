@@ -168,7 +168,7 @@ fn distributed_parallel_shard_builds_match_serial() {
 #[test]
 fn collection_merge_with_parallel_build_options() {
     let (data, queries, gt) = dataset_and_queries();
-    let mut c = Collection::create(
+    let c = Collection::create(
         CollectionSchema::new("par", 16, Metric::Euclidean),
         CollectionConfig {
             index: IndexSpec::parse("hnsw").unwrap(),

@@ -83,7 +83,7 @@ fn wal_recovery_equals_live_collection() {
     let live_hits;
     let live_len;
     {
-        let mut c = Collection::create(schema.clone(), cfg.clone()).unwrap();
+        let c = Collection::create(schema.clone(), cfg.clone()).unwrap();
         for (i, row) in data.iter().enumerate() {
             c.insert(i as u64, row, &[]).unwrap();
         }
@@ -117,7 +117,7 @@ fn torn_wal_tail_loses_only_the_torn_record() {
         ..Default::default()
     };
     {
-        let mut c = Collection::create(schema.clone(), cfg.clone()).unwrap();
+        let c = Collection::create(schema.clone(), cfg.clone()).unwrap();
         for i in 0..10u64 {
             c.insert(i, &[i as f32, 0.0, 0.0, 0.0], &[]).unwrap();
         }

@@ -682,31 +682,18 @@ fn concurrent_vql_searches_with_predicates_share_the_read_lock() {
     handle.shutdown();
 }
 
-/// VQL writes still take the exclusive lock, and what they change is
-/// visible to the next VQL search.
+/// A VQL write needs no exclusion from readers: an INSERT completes while
+/// another reader holds the database, and what it changes is visible to
+/// the next VQL search.
 #[test]
-fn vql_writes_take_the_write_lock_and_are_visible_to_the_next_search() {
+fn vql_insert_completes_while_a_reader_holds_the_database() {
     let handle = serve(priced_db(50), "127.0.0.1:0", ServerConfig::default()).unwrap();
-    let client = Arc::new(impatient_client(&handle));
+    let client = impatient_client(&handle);
     let search = "SEARCH docs K 2 NEAR [100, 0, 0, 0] WHERE price > 40";
     assert_eq!(vql_keys(&client, search), vec![49, 48]);
 
-    // While a reader holds the database the insert waits.
-    let (tx, rx) = std::sync::mpsc::channel();
-    let writer = handle.with_db(|_| {
-        let client = client.clone();
-        let writer = std::thread::spawn(move || {
-            tx.send(client.vql("INSERT INTO docs KEY 99 VALUES [99, 0, 0, 0] SET price = 99"))
-                .unwrap()
-        });
-        assert!(
-            rx.recv_timeout(Duration::from_millis(300)).is_err(),
-            "a VQL INSERT must wait for the exclusive lock"
-        );
-        writer
-    });
-    writer.join().unwrap();
-    let inserted = rx.recv_timeout(Duration::from_secs(5)).unwrap();
+    let inserted = handle
+        .with_db(|_| client.vql("INSERT INTO docs KEY 99 VALUES [99, 0, 0, 0] SET price = 99"));
     assert!(matches!(inserted, Ok(VqlOutput::Done)), "{inserted:?}");
     assert_eq!(vql_keys(&client, search), vec![99, 49]);
 
