@@ -102,13 +102,17 @@ impl NavTables {
 
 /// Per-query scratch kept in the [`SearchContext`] extension slot: the
 /// navigation tables, the `(cluster, node)` pairs of one expansion batch,
-/// and the gathered code bytes the batch ADC kernel scans. Reusing these
+/// the gathered code bytes the batch ADC kernel scans, and the scratch
+/// page for reads the page cache does not keep. Reusing these
 /// across queries keeps the hot path free of per-query heap allocation.
 #[derive(Debug, Default)]
 struct DiskAnnScratch {
     nav: NavTables,
     pairs: Vec<(u32, u32)>,
     codebuf: Vec<u8>,
+    /// Where a page read that the cache does not keep lands; allocated on
+    /// the context's first search.
+    page: Option<Page>,
 }
 
 /// Build-time configuration.
@@ -592,32 +596,37 @@ impl DiskAnnIndex {
 
     /// Read node `u`'s record: neighbor ids into `nbrs`, the stored
     /// vector decoded *once* into `scratch`, and the exact distance to
-    /// `query` computed through the dispatched kernel layer.
+    /// `query` computed through the dispatched kernel layer. The page is
+    /// borrowed from the cache (or read into `page_buf`) only while the
+    /// record is copied out.
     fn read_node_into(
         &self,
         u: usize,
         query: &[f32],
+        page_buf: &mut Page,
         scratch: &mut Vec<f32>,
         nbrs: &mut Vec<u32>,
     ) -> Result<f32> {
         let record_bytes = 4 + self.r * 4 + self.dim * 4;
-        let page = self.cache.read(self.page_of(u))?;
-        let base = (self.slot(u) % self.records_per_page) * record_bytes;
-        let degree = page.read_u32(base) as usize;
-        nbrs.clear();
-        for j in 0..degree.min(self.r) {
-            nbrs.push(page.read_u32(base + 4 + j * 4));
+        {
+            let page = self.cache.read(self.page_of(u), page_buf)?;
+            let base = (self.slot(u) % self.records_per_page) * record_bytes;
+            let degree = page.read_u32(base) as usize;
+            nbrs.clear();
+            for j in 0..degree.min(self.r) {
+                nbrs.push(page.read_u32(base + 4 + j * 4));
+            }
+            // One contiguous decode into context scratch, then one kernel
+            // call (`Metric::distance` dispatches to the SIMD backend) — no
+            // per-float hand-rolled loop on the hot path.
+            let voff = base + 4 + self.r * 4;
+            scratch.clear();
+            scratch.extend(
+                page.bytes()[voff..voff + self.dim * 4]
+                    .chunks_exact(4)
+                    .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes"))),
+            );
         }
-        // One contiguous decode into context scratch, then one kernel call
-        // (`Metric::distance` dispatches to the SIMD backend) — no
-        // per-float hand-rolled loop on the hot path.
-        let voff = base + 4 + self.r * 4;
-        scratch.clear();
-        scratch.extend(
-            page.bytes()[voff..voff + self.dim * 4]
-                .chunks_exact(4)
-                .map(|c| f32::from_le_bytes(c.try_into().expect("4 bytes"))),
-        );
         Ok(self.metric.distance(query, scratch))
     }
 
@@ -642,7 +651,9 @@ impl DiskAnnIndex {
             mut nav,
             mut pairs,
             mut codebuf,
+            page,
         } = std::mem::take(ctx.ext::<DiskAnnScratch>());
+        let mut page = page.unwrap_or_else(Page::zeroed);
         nav.begin(self, query)?;
 
         // Best-first beam search over a bounded frontier: `frontier` is a
@@ -674,7 +685,8 @@ impl DiskAnnIndex {
             // Expand: one page read (often resident: the packed layout puts
             // consecutive expansions on shared pages) + exact rescoring via
             // the kernels.
-            let dist = self.read_node_into(cand.id, query, &mut ctx.scratch, &mut ctx.ids)?;
+            let dist =
+                self.read_node_into(cand.id, query, &mut page, &mut ctx.scratch, &mut ctx.ids)?;
             if filter.is_none_or(|f| f.accept(cand.id)) {
                 ctx.rerank.push(Neighbor::new(cand.id, dist));
             }
@@ -725,6 +737,7 @@ impl DiskAnnIndex {
             nav,
             pairs,
             codebuf,
+            page: Some(page),
         };
         Ok(out)
     }

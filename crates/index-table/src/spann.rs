@@ -331,6 +331,9 @@ impl SpannIndex {
         let probes = params.nprobe.max(1).min(ctx.order.len());
         let record_bytes = 4 + self.dim * 4;
         ctx.pool.reset(k);
+        // Where a page read that the cache does not keep lands; allocated
+        // on the context's first search.
+        let mut page_buf = std::mem::take(ctx.ext::<Option<Page>>()).unwrap_or_else(Page::zeroed);
 
         let SearchContext {
             visited: seen,
@@ -352,10 +355,10 @@ impl SpannIndex {
             })
         });
         for (pid, in_page) in pages {
-            let page = self.cache.read(pid)?;
             // Gather the page's surviving records (dedup closure replicas,
             // apply the filter) into contiguous scratch, then score the
-            // whole page in one kernel batch.
+            // whole page in one kernel batch after the page is released.
+            let page = self.cache.read(pid, &mut page_buf)?;
             ids.clear();
             rows.clear();
             for slot in 0..in_page {
@@ -376,6 +379,7 @@ impl SpannIndex {
                         .map(|b| f32::from_le_bytes(b.try_into().expect("4 bytes"))),
                 );
             }
+            drop(page);
             dists.resize(ids.len(), 0.0);
             self.metric
                 .distance_batch(query, rows, self.dim, &mut dists[..ids.len()]);
@@ -383,7 +387,9 @@ impl SpannIndex {
                 top.push(Neighbor::new(row as usize, d));
             }
         }
-        Ok(top.drain_sorted())
+        let out = top.drain_sorted();
+        *ctx.ext::<Option<Page>>() = Some(page_buf);
+        Ok(out)
     }
 }
 

@@ -83,9 +83,15 @@ impl PagedFile {
         Ok(PageId(first))
     }
 
-    /// Read one page.
+    /// Read one page into a fresh buffer.
     pub fn read_page(&self, id: PageId) -> Result<Page> {
         let mut page = Page::zeroed();
+        self.read_page_into(id, &mut page)?;
+        Ok(page)
+    }
+
+    /// Read one page into `page`, overwriting all of it.
+    pub fn read_page_into(&self, id: PageId, page: &mut Page) -> Result<()> {
         #[cfg(unix)]
         {
             use std::os::unix::fs::FileExt;
@@ -97,7 +103,7 @@ impl PagedFile {
             file.seek(SeekFrom::Start(id.offset()))?;
             file.read_exact(page.bytes_mut())?;
         }
-        Ok(page)
+        Ok(())
     }
 
     /// Write one page.

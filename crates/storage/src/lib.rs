@@ -4,10 +4,10 @@
 //!
 //! - [`page`] / [`file`] — fixed-size pages over files, the unit of I/O
 //!   accounting for disk-resident indexes (§2.2),
-//! - [`cache`] — read-through page cache with pinning, scan-resistant
-//!   admission-controlled eviction, and lock-free hit/miss/eviction
-//!   counters (the instrument of experiments F7/D1); a miss reads the
-//!   page inline and installs it,
+//! - [`cache`] — read-through page cache over fixed frames with pinning,
+//!   scan-resistant admission-controlled SLRU eviction at O(1) per
+//!   access, and lock-free hit/miss/eviction counters (the instrument of
+//!   experiments F7/D1); a miss reads the page inline into a frame,
 //! - [`column`] — typed, nullable attribute columns with a cached summary
 //!   (exact statistics, numeric rows in value order) for selectivity
 //!   estimation and range filters (§2.1 hybrid queries),

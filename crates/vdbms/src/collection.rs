@@ -588,31 +588,36 @@ impl Collection {
             if background && p.buffer.len() >= inner.max_buffer() {
                 return Err(Error::Busy);
             }
-            let record = (p.wal.is_some() || sink.is_some()).then(|| WalRecord::Insert {
+            // One owned record: logged and encoded for shipping from a
+            // borrow, then its vector and attributes move into the buffer.
+            let record = WalRecord::Insert {
                 key,
                 vector: vector.to_vec(),
-                attrs: owned_attrs.clone(),
-            });
+                attrs: owned_attrs,
+            };
             if let Some(wal) = &mut p.wal {
-                wal.append(record.as_ref().expect("built when wal present"))?;
+                wal.append(&record)?;
                 wal.sync()?;
             }
+            let lsn = p.lsn + 1;
+            let frame = sink.as_ref().map(|_| {
+                let mut frame = Vec::new();
+                ship_record(&mut frame, lsn, &record);
+                frame
+            });
+            let WalRecord::Insert { vector, attrs, .. } = record else {
+                unreachable!("built as an insert above")
+            };
             if !p.buffer.hides(key) && inner.main.read().key_to_row.contains_key(&key) {
                 p.shadowed += 1;
             }
-            p.buffer.put(key, vector.to_vec(), owned_attrs);
-            p.lsn += 1;
-            if let Some(sink) = sink {
+            p.buffer.put(key, vector, attrs);
+            p.lsn = lsn;
+            if let (Some(sink), Some(frame)) = (sink, frame) {
                 // Ship after the local apply, before the ack: an error
                 // here fails the acknowledgement (the idempotent local
                 // apply stands), so an acked write is always replicated.
-                let mut frame = Vec::new();
-                ship_record(
-                    &mut frame,
-                    p.lsn,
-                    record.as_ref().expect("built when sink present"),
-                );
-                sink(p.lsn, &frame)?;
+                sink(lsn, &frame)?;
             }
             p.buffer.len() >= inner.cfg.merge_threshold
         };
