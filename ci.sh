@@ -120,6 +120,16 @@ echo "== disk pipeline: equivalence under every lever combination =="
 # batched rescoring kernels to the scalar fallback.
 cargo test -q --release --test disk_pipeline
 VDB_FORCE_SCALAR=1 cargo test -q --release --test disk_pipeline
+# The page cache under those indexes keeps one policy: on seeded traces
+# of Zipf reads, sequential sweeps and pins at budgets from 0 to more
+# than the file's pages, every access hits or misses exactly as a
+# stamp-and-scan reference model of the SLRU, admission, ageing and pin
+# rules does, and the final counters and resident counts are equal.
+# Debug too: there the frame lists' invariants (list lengths sum to the
+# resident frames, the protected list within its cap) are live
+# debug_asserts on every access.
+cargo test -q --release -p vdb-storage --test cache_policy
+cargo test -q -p vdb-storage --test cache_policy
 
 echo "== hybrid text + vector: fusion correctness, scalar kernels, merge modes =="
 # The hybrid subsystem (DESIGN.md §15) must rank identically no matter
