@@ -120,6 +120,9 @@ echo "== disk pipeline: equivalence under every lever combination =="
 # batched rescoring kernels to the scalar fallback.
 cargo test -q --release --test disk_pipeline
 VDB_FORCE_SCALAR=1 cargo test -q --release --test disk_pipeline
+# DiskANN's navigation scorer (query terms through the ADC kernel plus
+# per-node terms) against a direct residual ADC table, on the fallback.
+VDB_FORCE_SCALAR=1 cargo test -q --release -p vdb-index-graph diskann
 # The page cache under those indexes keeps one policy: on seeded traces
 # of Zipf reads, sequential sweeps and pins at budgets from 0 to more
 # than the file's pages, every access hits or misses exactly as a

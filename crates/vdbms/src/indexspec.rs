@@ -459,15 +459,7 @@ mod tests {
             // The point of the disk variants: memory-resident navigation
             // state stays below the raw vector bytes even at this tiny
             // scale, where the fixed PQ-codebook overhead dominates.
-            // DiskANN also holds a fixed table of residual ADC terms
-            // (nav_nlist × pq_m × 256 floats: 64 × 8 × 256 × 4 B here),
-            // which only indexes above ~10k rows at this dim amortize.
-            let fixed = if name == "diskann" {
-                64 * 8 * 256 * 4
-            } else {
-                0
-            };
-            assert!(idx.stats().memory_bytes < 400 * 16 * 4 + fixed, "{name}");
+            assert!(idx.stats().memory_bytes < 400 * 16 * 4, "{name}");
         }
     }
 
